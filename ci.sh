@@ -52,6 +52,13 @@ cargo run --release -q -p sdlo-bench --bin tables -- trace-overhead --max-ns 150
 echo "==> wire-compat tests (release)"
 cargo test --release -q -p sdlo-service --test wire_compat
 
+# Benchmark smoke: every workload for 2 s on one fleet (about 25 s). The
+# benchmark builds the daemons and itself with `--locked`, so this also
+# fails when the benchmark stops building; it exits non-zero unless every
+# answer matched its in-process oracle and no request failed.
+echo "==> benchmark smoke (run.sh --smoke)"
+benchmark/run.sh --smoke
+
 # Sequential-vs-parallel search: byte-identical outcomes and no throughput
 # regression; the measured speedup lands in results/search-speedup.txt.
 echo "==> search bench (seq vs parallel)"

@@ -547,10 +547,12 @@ fn health_loop(shared: &Shared) {
 /// One client connection: newline-delimited requests in, one reply line per
 /// request out, in order.
 fn handle_client(shared: &Shared, stream: TcpStream) {
-    let Ok(writer) = stream.try_clone() else {
+    // Every reply goes out in one `write` with its newline, and with Nagle
+    // off it leaves at once instead of waiting for the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
+    let Ok(mut writer) = stream.try_clone() else {
         return;
     };
-    let mut writer = writer;
     let reader = BufReader::new(stream);
     // Backend connections are pooled per client connection: one persistent
     // stream per backend, replaced on transport error.
@@ -610,15 +612,14 @@ fn handle_client(shared: &Shared, stream: TcpStream) {
             if let Some(addr) = shared.self_addr.get() {
                 let _ = TcpStream::connect(addr);
             }
-            let text = Value::obj(vec![
+            let mut text = Value::obj(vec![
                 ("v", Value::from(api::PROTOCOL_VERSION)),
                 ("ok", Value::from(true)),
                 ("stopping", Value::from(true)),
             ])
             .render();
+            text.push('\n');
             let _ = writer.write_all(text.as_bytes());
-            let _ = writer.write_all(b"\n");
-            let _ = writer.flush();
             break;
         }
 
@@ -626,7 +627,7 @@ fn handle_client(shared: &Shared, stream: TcpStream) {
         // else forwards (with the router's trace context spliced in when a
         // collector is recording, so backend spans parent under our root).
         let mut fwd = ForwardInfo::default();
-        let (reply, ok) = match op {
+        let (mut reply, ok) = match op {
             "stats" => local_reply(shared, parsed.as_ref(), shared.stats_body()),
             "metrics" => local_reply(
                 shared,
@@ -694,10 +695,8 @@ fn handle_client(shared: &Shared, stream: TcpStream) {
             },
             root_span,
         );
-        if writer.write_all(reply.as_bytes()).is_err()
-            || writer.write_all(b"\n").is_err()
-            || writer.flush().is_err()
-        {
+        reply.push('\n');
+        if writer.write_all(reply.as_bytes()).is_err() {
             break;
         }
         if shared.stop.load(Ordering::SeqCst) {

@@ -44,18 +44,26 @@ impl Default for RetryPolicy {
 }
 
 /// One connection; requests are answered in order.
+///
+/// Each request leaves in a single `write` on a `TCP_NODELAY` socket: with
+/// Nagle's algorithm on, a line and its newline sent separately make the
+/// second segment wait for the peer's delayed ACK (tens of milliseconds).
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// Reused send buffer: the request line plus its newline.
+    send: Vec<u8>,
 }
 
 impl Client {
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client {
             reader: BufReader::new(stream),
             writer,
+            send: Vec::new(),
         })
     }
 
@@ -67,9 +75,10 @@ impl Client {
 
     /// Send one raw line, receive one raw line.
     pub fn request_line(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        self.writer.flush()?;
+        self.send.clear();
+        self.send.extend_from_slice(line.as_bytes());
+        self.send.push(b'\n');
+        self.writer.write_all(&self.send)?;
         let mut response = String::new();
         let n = self.reader.read_line(&mut response)?;
         if n == 0 {

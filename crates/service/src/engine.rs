@@ -233,6 +233,23 @@ pub struct RequestMeta {
 /// its way into the unified envelope.
 pub type OpResult = Result<Vec<(&'static str, Value)>, ApiError>;
 
+/// An op's in-flight gauge, held up for as long as the guard lives. The
+/// decrement is in `Drop`, so an op that unwinds still leaves it balanced.
+struct InFlight<'a>(&'a std::sync::atomic::AtomicU64);
+
+impl<'a> InFlight<'a> {
+    fn enter(gauge: &'a std::sync::atomic::AtomicU64) -> InFlight<'a> {
+        gauge.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        InFlight(gauge)
+    }
+}
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
+    }
+}
+
 impl Engine {
     pub fn new(config: EngineConfig) -> Self {
         let cache = ShardedCache::new(config.cache_shards, config.cache_capacity);
@@ -330,10 +347,9 @@ impl Engine {
             span.attr("trace_id", trace.trace_id.as_str());
         }
         let root_span = span.id();
-        let in_flight = &self.metrics.kind(kind).in_flight;
-        in_flight.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let in_flight = InFlight::enter(&self.metrics.kind(kind).in_flight);
         let outcome = self.dispatch(request, &envelope, started);
-        in_flight.fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
+        drop(in_flight);
         let micros = started.elapsed().as_micros() as u64;
         self.metrics.record(kind, micros, outcome.is_ok());
         self.metrics.exec.observe_micros(micros);

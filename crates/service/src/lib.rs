@@ -21,8 +21,9 @@
 //!   [`ops::ServiceOp`] trait; the registry table drives both dispatch and
 //!   the `stats.ops` advertisement,
 //! * [`engine`] — embeddable request handler (JSON in, JSON out),
-//! * [`server`] — TCP transport: event-driven reactor multiplexing every
-//!   connection onto one thread, bounded worker pool, explicit admission
+//! * [`server`] — TCP transport: a `poll(2)`-driven reactor multiplexing
+//!   every connection onto one thread, bounded worker pool that survives
+//!   panicking requests, explicit admission
 //!   control (`overloaded`), per-connection write-buffer backpressure,
 //!   per-line size caps, graceful drain on shutdown,
 //! * [`client`] — minimal synchronous client,
@@ -35,6 +36,7 @@ pub mod diskcache;
 pub mod engine;
 pub mod metrics;
 pub mod ops;
+mod poll;
 pub mod server;
 
 pub use api::{ApiError, ErrorKind, RoutingKey, PROTOCOL_VERSION};

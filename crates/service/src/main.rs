@@ -33,9 +33,9 @@ fn usage() -> ! {
          threshold (0 disables captures). SDLO_TRACE=1 enables span\n\
          recording into the flight recorder; SDLO_LOG=error|warn|info|debug\n\
          sets the structured-log level (default info).\n\
-         Defaults: --addr 127.0.0.1:7464 --workers 4 --queue 64\n\
-         \x20         --cache-capacity 256 --max-line 1048576\n\
-         \x20         --slow-micros 100000"
+         Defaults: --addr 127.0.0.1:7464 --queue 64 --cache-capacity 256\n\
+         \x20         --max-line 1048576 --slow-micros 100000, and --workers\n\
+         \x20         = the number of CPUs this process may run on."
     );
     std::process::exit(2);
 }

@@ -195,6 +195,12 @@ pub struct Metrics {
     pub connections_active: AtomicU64,
     /// Jobs currently queued or executing in the worker pool.
     pub queue_depth: AtomicU64,
+    /// Requests whose handling panicked; each was answered with the
+    /// `internal` error and its worker kept serving.
+    pub worker_panics: AtomicU64,
+    /// Returns from the reactor's `poll` wait. An idle server adds none; a
+    /// request costs about two (its line arrives, its reply is ready).
+    pub reactor_wakeups: AtomicU64,
     /// Tile searches cut short by their budget (`advise` replies with
     /// `completed:false`).
     pub searches_cancelled: AtomicU64,
@@ -245,6 +251,8 @@ impl Default for Metrics {
             connections: AtomicU64::new(0),
             connections_active: AtomicU64::new(0),
             queue_depth: AtomicU64::new(0),
+            worker_panics: AtomicU64::new(0),
+            reactor_wakeups: AtomicU64::new(0),
             searches_cancelled: AtomicU64::new(0),
             lint_diag_errors: AtomicU64::new(0),
             lint_diag_warnings: AtomicU64::new(0),
@@ -448,7 +456,7 @@ impl Metrics {
             let _ = writeln!(out, "{name}_count {cum}");
             let _ = writeln!(out, "{name}_sum {}", h.sum_micros.load(Ordering::Relaxed));
         }
-        let singles: [(&str, &str, u64); 19] = [
+        let singles: [(&str, &str, u64); 21] = [
             (
                 "sdlo_model_cache_hits_total",
                 "counter",
@@ -507,6 +515,16 @@ impl Metrics {
                 load(&self.connections_active),
             ),
             ("sdlo_queue_depth", "gauge", load(&self.queue_depth)),
+            (
+                "sdlo_worker_panics_total",
+                "counter",
+                load(&self.worker_panics),
+            ),
+            (
+                "sdlo_reactor_wakeups_total",
+                "counter",
+                load(&self.reactor_wakeups),
+            ),
             (
                 "sdlo_revise_base_misses_total",
                 "counter",

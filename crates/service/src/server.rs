@@ -4,14 +4,22 @@
 //! ## Architecture
 //!
 //! One *reactor* thread owns the (non-blocking) listener and every open
-//! connection. Each loop tick it:
+//! connection, and sleeps in `poll(2)` until one of them, or a worker, has
+//! something for it. Each wake-up it:
 //!
 //! 1. accepts new connections (until the OS says `WouldBlock`),
 //! 2. drains worker completions into the owning connection's reorder
 //!    buffer,
-//! 3. per connection: flushes in-order responses into the write buffer,
-//!    writes as many bytes as the socket takes, then reads and frames new
-//!    request lines — submitting each to the worker pool.
+//! 3. per connection: reads and frames new request lines if the socket is
+//!    readable — submitting each to the worker pool — then moves in-order
+//!    responses into the write buffer and writes as many bytes as the
+//!    socket takes.
+//!
+//! Workers wake the reactor by writing one byte to a socket pair it polls.
+//! A connection is polled for reading only while the reactor would read
+//! it, for writing only while it has unsent bytes, and not at all
+//! otherwise, so a hung-up peer cannot keep `poll` returning. An idle
+//! server does not wake.
 //!
 //! No thread is ever parked on one client, so thousands of mostly-idle
 //! connections cost one thread plus their buffers — not a thread each.
@@ -46,7 +54,9 @@
 //!
 //! Request lines are framed under a byte cap (oversized lines are
 //! discarded and answered with `too_large`; the connection survives),
-//! malformed JSON gets a structured error from the engine, and
+//! malformed JSON gets a structured error from the engine, a request that
+//! panics its op is answered with the `internal` error envelope by a worker
+//! that lives on (`sdlo_worker_panics_total` counts these), and
 //! `{"op":"metrics","raw":true}` is answered transport-side with the
 //! Prometheus text exposition itself (not JSON) followed by EOF, so
 //! `echo '{"op":"metrics","raw":true}' | nc host port` is a complete
@@ -55,13 +65,17 @@
 use crate::api::{self, ApiError, ErrorKind};
 use crate::engine::{Engine, EngineConfig, RequestMeta};
 use crate::metrics::Metrics;
+use crate::poll::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 use sdlo_trace::AttrValue;
 use sdlo_wire::Value;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -72,7 +86,10 @@ pub struct ServerConfig {
     /// Bind address; use port 0 to let the OS pick (see
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// Worker threads executing requests.
+    /// Worker threads executing requests. Defaults to the machine's
+    /// available parallelism: requests are CPU-bound, so more workers than
+    /// cores add memory (each thread gets its own malloc arena), not
+    /// throughput.
     pub workers: usize,
     /// Bounded queue depth between the reactor and the workers; beyond it
     /// requests are rejected with `overloaded`.
@@ -93,7 +110,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
-            workers: 4,
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             queue: 64,
             max_line_bytes: 1 << 20,
             max_write_buffer: 4 << 20,
@@ -133,12 +150,61 @@ struct Completion {
     done_micros: u64,
 }
 
+impl Completion {
+    /// A response the reactor produces itself (rejections, shutdown acks,
+    /// raw scrapes): no engine phases to account.
+    fn transport(slot: usize, generation: u64, seq: u64, text: String, raw: bool) -> Completion {
+        Completion {
+            slot,
+            generation,
+            seq,
+            text,
+            raw,
+            meta: None,
+            submitted_micros: 0,
+            picked_micros: 0,
+            done_micros: 0,
+        }
+    }
+}
+
+/// The reactor's doorbell: a socket pair whose read end it polls. Workers
+/// ring it once per completion and [`ServerHandle::shutdown`] once to start
+/// a drain. Both ends share one owner so a late ring never hits a closed
+/// peer.
+struct Wake {
+    rx: UnixStream,
+    tx: UnixStream,
+}
+
+impl Wake {
+    fn new() -> std::io::Result<Wake> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(Wake { rx, tx })
+    }
+
+    /// A full buffer means wake-ups are already pending, so a failed write
+    /// loses nothing.
+    fn ring(&self) {
+        let _ = (&self.tx).write(&[1]);
+    }
+
+    /// Consume pending rings.
+    fn clear(&self) {
+        let mut buf = [0u8; 256];
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
+    }
+}
+
 /// Handle to a running server; dropping it does *not* stop the server —
 /// call [`shutdown`](ServerHandle::shutdown) (or send `{"op":"shutdown"}`).
 pub struct ServerHandle {
     addr: SocketAddr,
     engine: Arc<Engine>,
     stop: Arc<AtomicBool>,
+    wake: Arc<Wake>,
     reactor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
     job_tx: Option<SyncSender<Job>>,
@@ -168,6 +234,7 @@ impl ServerHandle {
     /// connections, join the reactor and the workers.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.wake.ring();
         if let Some(t) = self.reactor.take() {
             let _ = t.join();
         }
@@ -197,6 +264,7 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let addr = listener.local_addr()?;
     let engine = Arc::new(Engine::new(config.engine.clone()));
     let stop = Arc::new(AtomicBool::new(false));
+    let wake = Arc::new(Wake::new()?);
 
     let (job_tx, job_rx) = mpsc::sync_channel::<Job>(config.queue.max(1));
     let (done_tx, done_rx) = mpsc::channel::<Completion>();
@@ -206,28 +274,16 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
             let job_rx = Arc::clone(&job_rx);
             let engine = Arc::clone(&engine);
             let done_tx = done_tx.clone();
+            let wake = Arc::clone(&wake);
             let metrics = engine.metrics();
             std::thread::spawn(move || loop {
                 let job = match job_rx.lock().unwrap().recv() {
                     Ok(j) => j,
                     Err(_) => break,
                 };
-                let picked_micros = sdlo_trace::now_micros();
-                let queue_micros = picked_micros.saturating_sub(job.submitted_micros);
-                metrics.queue_wait.observe_micros(queue_micros);
-                let (text, meta) = engine.handle_line_timed(&job.line, queue_micros);
-                metrics.queue_depth.fetch_sub(1, Ordering::SeqCst);
-                let _ = done_tx.send(Completion {
-                    slot: job.slot,
-                    generation: job.generation,
-                    seq: job.seq,
-                    text,
-                    raw: false,
-                    meta,
-                    submitted_micros: job.submitted_micros,
-                    picked_micros,
-                    done_micros: sdlo_trace::now_micros(),
-                });
+                let completion = run_job(&engine, &metrics, job);
+                let _ = done_tx.send(completion);
+                wake.ring();
             })
         })
         .collect();
@@ -236,10 +292,11 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let reactor = {
         let stop = Arc::clone(&stop);
         let engine = Arc::clone(&engine);
+        let wake = Arc::clone(&wake);
         let job_tx = job_tx.clone();
         let config = config.clone();
         Some(std::thread::spawn(move || {
-            Reactor::new(listener, engine, stop, job_tx, done_rx, config).run();
+            Reactor::new(listener, engine, stop, wake, job_tx, done_rx, config).run();
         }))
     };
 
@@ -256,10 +313,56 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
         addr,
         engine,
         stop,
+        wake,
         reactor,
         workers,
         job_tx: Some(job_tx),
     })
+}
+
+/// One job on a worker. A panic inside the engine is caught here: the
+/// request gets the `internal` error envelope under its own sequence
+/// number, and the worker goes on to the next job.
+fn run_job(engine: &Engine, metrics: &Metrics, job: Job) -> Completion {
+    let picked_micros = sdlo_trace::now_micros();
+    let queue_micros = picked_micros.saturating_sub(job.submitted_micros);
+    metrics.queue_wait.observe_micros(queue_micros);
+    let handled = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        engine.handle_line_timed(&job.line, queue_micros)
+    }));
+    let (text, meta) = handled.unwrap_or_else(|payload| {
+        metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
+        let cause = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        sdlo_trace::log::error(
+            "service",
+            "worker.panic",
+            &[("cause", AttrValue::Str(cause))],
+        );
+        let request = sdlo_wire::parse(&job.line).ok();
+        let text = error_line(
+            engine,
+            request.as_ref(),
+            ErrorKind::Internal,
+            "the request failed inside the server",
+        );
+        (text, None)
+    });
+    metrics.queue_depth.fetch_sub(1, Ordering::SeqCst);
+    Completion {
+        slot: job.slot,
+        generation: job.generation,
+        seq: job.seq,
+        text,
+        raw: false,
+        meta,
+        submitted_micros: job.submitted_micros,
+        picked_micros,
+        done_micros: sdlo_trace::now_micros(),
+    }
 }
 
 /// Transport-side failures use the same unified error envelope as engine
@@ -334,21 +437,25 @@ impl Conn {
     }
 }
 
+/// Fixed entries at the front of the reactor's poll set; connection `slot`
+/// is entry `CONN_BASE + slot`.
+const WAKE_ENTRY: usize = 0;
+const LISTENER_ENTRY: usize = 1;
+const CONN_BASE: usize = 2;
+
 struct Reactor {
     listener: Option<TcpListener>,
     engine: Arc<Engine>,
     metrics: Arc<Metrics>,
     stop: Arc<AtomicBool>,
+    wake: Arc<Wake>,
     job_tx: SyncSender<Job>,
     done_rx: Receiver<Completion>,
-    /// Loopback channel for transport-side completions (overload
-    /// rejections, shutdown acks, raw scrapes) so they respect response
-    /// ordering alongside worker completions.
-    done_tx: Sender<Completion>,
-    loop_rx: Receiver<Completion>,
     config: ServerConfig,
     conns: Vec<Option<Conn>>,
     generation: u64,
+    /// The poll set of the last wait, with its readiness results.
+    fds: Vec<PollFd>,
 }
 
 impl Reactor {
@@ -356,71 +463,70 @@ impl Reactor {
         listener: TcpListener,
         engine: Arc<Engine>,
         stop: Arc<AtomicBool>,
+        wake: Arc<Wake>,
         job_tx: SyncSender<Job>,
         done_rx: Receiver<Completion>,
         config: ServerConfig,
     ) -> Reactor {
-        // Transport-side completions loop back through a channel of our own
-        // so they interleave with worker completions in one code path.
-        let (done_tx, loop_rx) = mpsc::channel::<Completion>();
-        // Forwarding thread would be overkill: we instead drain both
-        // receivers each tick.
         let metrics = engine.metrics();
         Reactor {
             listener: Some(listener),
             engine,
             metrics,
             stop,
+            wake,
             job_tx,
             done_rx,
-            done_tx,
             config,
             conns: Vec::new(),
-            loop_rx,
             generation: 0,
+            fds: Vec::new(),
         }
     }
 
     fn run(mut self) {
         let mut draining_since: Option<Instant> = None;
         loop {
-            let mut progress = false;
-
-            if self.stop.load(Ordering::SeqCst) {
-                if self.listener.take().is_some() {
-                    // Drain begins: the listener closes (connects are now
-                    // refused) and no further request lines are read.
-                    progress = true;
-                }
-                draining_since.get_or_insert_with(Instant::now);
-            } else {
-                progress |= self.accept_ready();
+            if self.ready(LISTENER_ENTRY, POLLIN) {
+                self.accept_ready();
             }
-
-            progress |= self.drain_completions();
+            // Clear rings before draining completions: every ring consumed
+            // here belongs to a completion already in the channel.
+            if self.ready(WAKE_ENTRY, POLLIN) {
+                self.wake.clear();
+            }
+            self.drain_completions();
 
             for slot in 0..self.conns.len() {
                 if let Some(mut conn) = self.conns[slot].take() {
-                    progress |= self.service_conn(slot, &mut conn);
+                    let readable = self.ready(CONN_BASE + slot, POLLIN | POLLHUP | POLLERR);
+                    self.service_conn(slot, &mut conn, readable);
                     if self.should_retire(&conn) {
                         self.metrics
                             .connections_active
                             .fetch_sub(1, Ordering::SeqCst);
-                        progress = true;
                     } else {
                         self.conns[slot] = Some(conn);
                     }
                 }
             }
 
+            if self.stop.load(Ordering::SeqCst) {
+                // Drain begins: the listener closes (connects are now
+                // refused) and no further request lines are read.
+                self.listener = None;
+                draining_since.get_or_insert_with(Instant::now);
+            }
+            let mut timeout = None;
             if let Some(since) = draining_since {
                 let idle = self
                     .conns
                     .iter()
                     .flatten()
                     .all(|c| c.in_flight() == 0 && c.unsent() == 0);
-                let expired =
-                    since.elapsed() >= Duration::from_millis(self.config.drain_timeout_ms);
+                let left = Duration::from_millis(self.config.drain_timeout_ms)
+                    .saturating_sub(since.elapsed());
+                let expired = left.is_zero();
                 if idle || expired {
                     // Flight-recorder flush + final summary: the last thing
                     // the process says before connections drop and clients
@@ -428,12 +534,66 @@ impl Reactor {
                     self.drain_summary(since, expired);
                     return;
                 }
+                timeout = Some(left);
             }
+            self.wait(timeout);
+        }
+    }
 
-            if !progress {
+    /// Whether the last wait reported any of `mask` on poll entry `entry`.
+    /// Entries added since (fresh connections) are not ready yet.
+    fn ready(&self, entry: usize, mask: std::os::raw::c_short) -> bool {
+        self.fds.get(entry).is_some_and(|fd| fd.ready(mask))
+    }
+
+    /// Whether the reactor reads this connection: only while running (a
+    /// drain submits no new work) and only while the peer is keeping up
+    /// with its responses.
+    fn wants_read(&self, conn: &Conn) -> bool {
+        !self.stop.load(Ordering::SeqCst)
+            && !conn.read_closed
+            && !conn.dead
+            && !conn.close_after_flush
+            && conn.unsent() <= self.config.max_write_buffer
+    }
+
+    /// Block until a socket the reactor has business with is ready, a
+    /// worker rings, or `timeout` (the drain deadline) passes. A connection
+    /// with nothing to read or write is left out of the set, so its
+    /// hang-up cannot wake the loop.
+    fn wait(&mut self, timeout: Option<Duration>) {
+        let mut fds = std::mem::take(&mut self.fds);
+        fds.clear();
+        fds.push(PollFd::new(Some(self.wake.rx.as_raw_fd()), POLLIN));
+        fds.push(PollFd::new(
+            self.listener.as_ref().map(AsRawFd::as_raw_fd),
+            POLLIN,
+        ));
+        for conn in &self.conns {
+            let mut events = 0;
+            if let Some(conn) = conn {
+                if self.wants_read(conn) {
+                    events |= POLLIN;
+                }
+                if conn.unsent() > 0 {
+                    events |= POLLOUT;
+                }
+            }
+            let fd = conn.as_ref().filter(|_| events != 0);
+            fds.push(PollFd::new(fd.map(|c| c.stream.as_raw_fd()), events));
+        }
+        if let Err(e) = poll::wait(&mut fds, timeout) {
+            // Not expected beyond EINTR. Try every entry as if ready, and
+            // pace the loop so a persistent failure cannot spin it.
+            for fd in &mut fds {
+                fd.assume_ready();
+            }
+            if e.kind() != std::io::ErrorKind::Interrupted {
                 std::thread::sleep(Duration::from_millis(1));
             }
         }
+        self.fds = fds;
+        self.metrics.reactor_wakeups.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Flush the flight recorder and emit the final `drain.summary` record:
@@ -490,12 +650,8 @@ impl Reactor {
     }
 
     /// Accept every connection the listener has ready.
-    fn accept_ready(&mut self) -> bool {
-        let mut progress = false;
-        loop {
-            let Some(listener) = self.listener.as_ref() else {
-                return progress;
-            };
+    fn accept_ready(&mut self) {
+        while let Some(listener) = self.listener.as_ref() {
             match listener.accept() {
                 Ok((stream, _)) => {
                     if stream.set_nonblocking(true).is_err() {
@@ -512,39 +668,31 @@ impl Reactor {
                         Some(slot) => self.conns[slot] = Some(conn),
                         None => self.conns.push(Some(conn)),
                     }
-                    progress = true;
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return progress,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return progress,
+                Err(_) => return,
             }
         }
     }
 
     /// Move every completed response into its connection's reorder buffer.
-    fn drain_completions(&mut self) -> bool {
-        let mut progress = false;
-        loop {
-            let completion = match self.loop_rx.try_recv() {
-                Ok(c) => c,
-                Err(_) => match self.done_rx.try_recv() {
-                    Ok(c) => c,
-                    Err(_) => break,
-                },
-            };
-            progress = true;
+    fn drain_completions(&mut self) {
+        while let Ok(completion) = self.done_rx.try_recv() {
             if let Some(conn) = self.conns.get_mut(completion.slot).and_then(Option::as_mut) {
                 if conn.generation == completion.generation {
                     conn.reorder.insert(completion.seq, completion);
                 }
             }
         }
-        progress
     }
 
-    /// One tick of work for one connection: order responses, write, read.
-    fn service_conn(&mut self, slot: usize, conn: &mut Conn) -> bool {
-        let mut progress = false;
+    /// One wake-up's work for one connection: read if the socket is
+    /// readable, then order responses and write. Anything left unsent is
+    /// polled for writability before the next wait.
+    fn service_conn(&mut self, slot: usize, conn: &mut Conn, readable: bool) {
+        if readable && self.wants_read(conn) {
+            self.read_ready(slot, conn);
+        }
 
         // Responses whose turn has come move into the write buffer.
         while let Some(mut completion) = conn.reorder.remove(&conn.next_write) {
@@ -552,29 +700,17 @@ impl Reactor {
             if let Some(meta) = completion.meta {
                 self.account_write_phase(&mut completion, meta);
             }
+            conn.out.extend_from_slice(completion.text.as_bytes());
             if completion.raw {
-                conn.out.extend_from_slice(completion.text.as_bytes());
                 conn.close_after_flush = true;
             } else {
-                conn.out.extend_from_slice(completion.text.as_bytes());
                 conn.out.push(b'\n');
             }
-            progress = true;
         }
 
-        progress |= self.write_ready(conn);
-
-        // Read new requests only while running (a drain submits no new
-        // work) and only while the peer is keeping up with its responses.
-        if !self.stop.load(Ordering::SeqCst)
-            && !conn.read_closed
-            && !conn.dead
-            && !conn.close_after_flush
-            && conn.unsent() <= self.config.max_write_buffer
-        {
-            progress |= self.read_ready(slot, conn);
+        if conn.unsent() > 0 {
+            self.write_ready(conn);
         }
-        progress
     }
 
     /// The write phase ends here: the reply's turn in the response order
@@ -618,18 +754,14 @@ impl Reactor {
     }
 
     /// Write as much of the pending output as the socket accepts.
-    fn write_ready(&self, conn: &mut Conn) -> bool {
-        let mut progress = false;
+    fn write_ready(&self, conn: &mut Conn) {
         while conn.out_cursor < conn.out.len() {
             match conn.stream.write(&conn.out[conn.out_cursor..]) {
                 Ok(0) => {
                     conn.dead = true;
                     break;
                 }
-                Ok(n) => {
-                    conn.out_cursor += n;
-                    progress = true;
-                }
+                Ok(n) => conn.out_cursor += n,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(_) => {
@@ -645,13 +777,11 @@ impl Reactor {
             conn.out.drain(..conn.out_cursor);
             conn.out_cursor = 0;
         }
-        progress
     }
 
     /// Read whatever the socket has, frame complete lines, submit them.
-    fn read_ready(&mut self, slot: usize, conn: &mut Conn) -> bool {
+    fn read_ready(&mut self, slot: usize, conn: &mut Conn) {
         let mut scratch = [0u8; 16 << 10];
-        let mut progress = false;
         loop {
             match conn.stream.read(&mut scratch) {
                 Ok(0) => {
@@ -659,7 +789,6 @@ impl Reactor {
                     break;
                 }
                 Ok(n) => {
-                    progress = true;
                     self.ingest(slot, conn, &scratch[..n]);
                     // Stop reading the moment backpressure engages.
                     if conn.unsent() > self.config.max_write_buffer || conn.close_after_flush {
@@ -674,7 +803,6 @@ impl Reactor {
                 }
             }
         }
-        progress
     }
 
     /// Append freshly read bytes to the accumulator and dispatch every
@@ -803,17 +931,7 @@ impl Reactor {
                 );
                 conn.reorder.insert(
                     seq,
-                    Completion {
-                        slot,
-                        generation: conn.generation,
-                        seq,
-                        text,
-                        raw: false,
-                        meta: None,
-                        submitted_micros: 0,
-                        picked_micros: 0,
-                        done_micros: 0,
-                    },
+                    Completion::transport(slot, conn.generation, seq, text, false),
                 );
             }
             Err(TrySendError::Disconnected(_)) => {
@@ -828,17 +946,10 @@ impl Reactor {
     fn complete_inline(&self, slot: usize, conn: &mut Conn, text: String, raw: bool) {
         let seq = conn.next_seq;
         conn.next_seq += 1;
-        let _ = self.done_tx.send(Completion {
-            slot,
-            generation: conn.generation,
+        conn.reorder.insert(
             seq,
-            text,
-            raw,
-            meta: None,
-            submitted_micros: 0,
-            picked_micros: 0,
-            done_micros: 0,
-        });
+            Completion::transport(slot, conn.generation, seq, text, raw),
+        );
     }
 
     /// A connection retires once nothing more can or should be said on it.

@@ -690,3 +690,107 @@ fn concurrent_connections_share_the_model_cache() {
     );
     handle.shutdown();
 }
+
+#[test]
+fn panicking_requests_get_internal_errors_and_workers_survive() {
+    // This advise binds a tile outside the search space to 0, which panics
+    // inside the tile search. Two of them would take down both workers of a
+    // two-worker pool if panics escaped the worker loop.
+    let handle = start(ServerConfig {
+        workers: 2,
+        ..small_server()
+    });
+    let mut c = Client::connect(handle.addr()).unwrap();
+    c.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .unwrap();
+    let hostile = r#"{"op":"advise","id":7,"request_id":"hostile","program":"tiled_matmul","cache":8192,"bindings":{"Ni":512,"Nj":512,"Nk":512,"Ti":0},"space":{"syms":["Tj","Tk"],"max":[64,64],"min":1}}"#;
+    for _ in 0..2 {
+        let resp = req(&mut c, hostile);
+        assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false), "{resp:?}");
+        assert_eq!(
+            resp.path(&["error", "kind"]).unwrap().as_str(),
+            Some("internal")
+        );
+        assert_eq!(resp.get("id").unwrap().as_i64(), Some(7));
+        assert_eq!(resp.get("request_id").unwrap().as_str(), Some("hostile"));
+    }
+    let resp = req(
+        &mut c,
+        r#"{"op":"predict","program":"matmul","bindings":{"Ni":16,"Nj":16,"Nk":16},"cache":64}"#,
+    );
+    assert_eq!(resp.get("ok").unwrap().as_bool(), Some(true), "{resp:?}");
+
+    use std::sync::atomic::Ordering;
+    let metrics = handle.metrics();
+    assert_eq!(metrics.worker_panics.load(Ordering::Relaxed), 2);
+    assert_eq!(metrics.queue_depth.load(Ordering::SeqCst), 0);
+    let advise = metrics.kind(sdlo_service::Kind::Advise);
+    assert_eq!(advise.in_flight.load(Ordering::Relaxed), 0);
+    let resp = req(&mut c, r#"{"op":"metrics"}"#);
+    let text = resp.get("text").unwrap().as_str().unwrap();
+    assert!(text.contains("sdlo_worker_panics_total 2"), "{text}");
+    handle.shutdown();
+}
+
+fn reactor_wakeups(handle: &sdlo_service::ServerHandle) -> u64 {
+    handle
+        .metrics()
+        .reactor_wakeups
+        .load(std::sync::atomic::Ordering::Relaxed)
+}
+
+#[test]
+fn idle_server_with_open_connections_does_not_wake() {
+    let handle = start(small_server());
+    let mut a = Client::connect(handle.addr()).unwrap();
+    let mut b = Client::connect(handle.addr()).unwrap();
+    req(&mut a, r#"{"op":"stats"}"#);
+    req(&mut b, r#"{"op":"stats"}"#);
+    let before = reactor_wakeups(&handle);
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let woke = reactor_wakeups(&handle) - before;
+    // One late wake-up is allowed: a worker's ring can trail the reply it
+    // announces.
+    assert!(woke <= 1, "an idle server woke {woke} times in 300 ms");
+    drop((a, b));
+    handle.shutdown();
+}
+
+#[test]
+fn sequential_round_trips_cost_a_few_wakeups_each() {
+    let handle = start(small_server());
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let line =
+        r#"{"op":"predict","program":"matmul","bindings":{"Ni":16,"Nj":16,"Nk":16},"cache":64}"#;
+    req(&mut c, line);
+    let before = reactor_wakeups(&handle);
+    for _ in 0..200 {
+        let resp = req(&mut c, line);
+        assert_eq!(resp.get("ok").unwrap().as_bool(), Some(true), "{resp:?}");
+    }
+    let woke = reactor_wakeups(&handle) - before;
+    assert!(
+        woke <= 3 * 200,
+        "200 round trips took {woke} reactor wake-ups"
+    );
+    handle.shutdown();
+}
+
+#[test]
+fn shutdown_of_an_idle_server_returns_promptly() {
+    // The reactor sleeps in poll with no timeout while idle; only the wake
+    // byte written by `shutdown` can get it to start the drain.
+    let handle = start(small_server());
+    let mut c = Client::connect(handle.addr()).unwrap();
+    req(&mut c, r#"{"op":"stats"}"#);
+    // Give the reactor time to go back to sleep after that reply.
+    std::thread::sleep(std::time::Duration::from_millis(50));
+    let (tx, rx) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        handle.shutdown();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(5))
+        .expect("shutdown of an idle server did not return within 5 s");
+    stopper.join().unwrap();
+}

@@ -195,19 +195,38 @@ impl FlightRecorder {
         self.slow.lock().unwrap().iter().cloned().collect()
     }
 
-    /// The slowest retained request per op: `(op, record)`.
+    /// The slowest retained request per op: `(op, record)`, sorted by op.
+    /// On equal totals the earliest request (lowest `seq`) wins.
+    ///
+    /// The first pass reads each slot under its own lock and keeps only
+    /// `(total, seq, slot)` per op; the second clones just the winners. A
+    /// winner overwritten in between (the ring lapped during the scan) is
+    /// left out of that snapshot.
     pub fn slowest_per_op(&self) -> Vec<(String, FlightRecord)> {
-        let mut best: std::collections::BTreeMap<String, FlightRecord> =
+        let mut best: std::collections::BTreeMap<String, (u64, u64, usize)> =
             std::collections::BTreeMap::new();
-        for rec in self.records() {
-            match best.get(&rec.op) {
-                Some(b) if b.total_micros >= rec.total_micros => {}
-                _ => {
-                    best.insert(rec.op.clone(), rec);
+        for (i, slot) in self.slots.iter().enumerate() {
+            let guard = slot.lock().expect("flight slot lock poisoned");
+            let Some(rec) = guard.as_ref() else { continue };
+            let candidate = (rec.total_micros, rec.seq, i);
+            match best.get_mut(rec.op.as_str()) {
+                None => {
+                    best.insert(rec.op.clone(), candidate);
+                }
+                Some(b) => {
+                    if rec.total_micros > b.0 || (rec.total_micros == b.0 && rec.seq < b.1) {
+                        *b = candidate;
+                    }
                 }
             }
         }
-        best.into_iter().collect()
+        best.into_iter()
+            .filter_map(|(op, (_, seq, i))| {
+                let guard = self.slots[i].lock().expect("flight slot lock poisoned");
+                let rec = guard.as_ref().filter(|r| r.seq == seq)?;
+                Some((op, rec.clone()))
+            })
+            .collect()
     }
 
     /// Render the span ring as a Chrome trace-event JSON document.
@@ -340,6 +359,35 @@ mod tests {
         assert_eq!(slowest[0].1.total_micros, 40);
         assert_eq!(slowest[1].0, "predict");
         assert_eq!(slowest[1].1.total_micros, 90);
+    }
+
+    #[test]
+    fn slowest_per_op_breaks_ties_by_lowest_seq_across_a_wrapped_ring() {
+        let fr = FlightRecorder::new(4, 0);
+        // Seqs 0..6 over four slots: slot 0 ends up holding seq 4 and
+        // slot 2 seq 2, so the scan meets the later tie first.
+        for (total, id) in [
+            (5, "a"),
+            (5, "b"),
+            (70, "c"),
+            (5, "d"),
+            (70, "e"),
+            (70, "f"),
+        ] {
+            let mut r = rec("predict", total);
+            r.request_id = id.to_string();
+            fr.push(r, None);
+        }
+        let slowest = fr.slowest_per_op();
+        assert_eq!(slowest.len(), 1);
+        assert_eq!(slowest[0].1.seq, 2);
+        assert_eq!(slowest[0].1.request_id, "c");
+        // The answer is what sorting the ring by seq and keeping the first
+        // maximum gives.
+        let records = fr.records();
+        let max = records.iter().map(|r| r.total_micros).max().unwrap();
+        let first = records.iter().find(|r| r.total_micros == max).unwrap();
+        assert_eq!(&slowest[0].1, first);
     }
 
     #[test]
