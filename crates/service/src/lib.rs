@@ -23,9 +23,9 @@
 //! * [`engine`] — embeddable request handler (JSON in, JSON out),
 //! * [`server`] — TCP transport: a `poll(2)`-driven reactor multiplexing
 //!   every connection onto one thread, bounded worker pool that survives
-//!   panicking requests, explicit admission
-//!   control (`overloaded`), per-connection write-buffer backpressure,
-//!   per-line size caps, graceful drain on shutdown,
+//!   panicking requests, explicit admission control (`overloaded`),
+//!   per-connection write-buffer backpressure, per-line size caps,
+//!   graceful drain on shutdown,
 //! * [`client`] — minimal synchronous client,
 //! * [`cache`] / [`metrics`] — the shared infrastructure behind both.
 
