@@ -4,10 +4,11 @@
     benchmark/run.sh --repeat 3
     benchmark/run.sh --traced
     python3 scripts/bench_ledger.py benchmark/results/<sha>-seed42 \\
-        benchmark/results/<sha>-seed42-traced [--note TEXT]
+        benchmark/results/<sha>-seed42-traced
 
-A set is a path prefix naming <prefix>-<k>.json, as for `run.sh compare`.
-From the untraced set the row keeps, per (workload, metric), the median and
+A set is a path prefix naming <prefix>-<k>.json, as for `run.sh compare`;
+`run.sh --smoke` files share that naming and are skipped. From the
+untraced set the row keeps, per (workload, metric), the median and
 quartiles over its runs, computed as `run.sh compare` computes them
 (Python's statistics.quantiles, n=4). From the traced set it keeps, per
 (workload, metric), the median over its runs. A row for the same sha and
@@ -31,6 +32,7 @@ COMMAND = (
 def load_set(prefix):
     paths = sorted(glob.glob(glob.escape(prefix) + "-*.json"))
     runs = [json.load(open(p)) for p in paths if p[len(prefix) + 1 : -5].isdigit()]
+    runs = [r for r in runs if not r["smoke"]]
     if not runs:
         sys.exit(f"bench_ledger: no runs named {prefix}-<k>.json")
     return runs
@@ -55,11 +57,6 @@ def summary(values):
 
 
 def main(argv):
-    note = None
-    if "--note" in argv:
-        i = argv.index("--note")
-        note = argv[i + 1]
-        argv = argv[:i] + argv[i + 2 :]
     if len(argv) != 2:
         sys.exit(__doc__)
     untraced, traced = load_set(argv[0]), load_set(argv[1])
@@ -80,8 +77,6 @@ def main(argv):
             for w, metrics in per_metric(traced).items()
         },
     }
-    if note:
-        row["note"] = note
     ledger = {"command": COMMAND, "rows": []}
     if os.path.exists(LEDGER):
         ledger = json.load(open(LEDGER))
