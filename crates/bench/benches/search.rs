@@ -1,153 +1,86 @@
-//! Sequential-vs-parallel tile search: the deadline-aware search engine
-//! parallelizes candidate evaluation, so this bench runs the same pruned
-//! search on one worker (a 1-thread installed pool) and on a multi-worker
-//! pool, asserts the outcomes are byte-identical (the deterministic-reduction
-//! promise), and reports the speedup into `results/search-speedup.txt`.
-//!
-//! The parallel pool is built explicitly with at least [`MIN_WORKERS`]
-//! threads: rayon's default pool sizes itself to the visible cores, so on a
-//! single-core CI runner it would degenerate to one worker and this bench
-//! would measure nothing. With an explicit pool the candidate evaluation is
-//! genuinely fanned out even there; the speedup *gate* (vs. the weaker
-//! no-regression floor) only applies where the hardware can actually deliver
-//! one.
+//! The tile search's evaluator: every grid point of the §6 search needs the
+//! model's stack distances (and, on the frontier, its miss count), so the
+//! search is only as fast as one model evaluation. This bench times the
+//! pruned and exhaustive searches, then measures one evaluation per grid
+//! point on the compiled tape against the `MissModel` tree walk on
+//! `tiled_two_index` (N=512, 64 KiB cache, tiles 4..=512). It asserts both
+//! give the same miss count and distance count at every point, gates the
+//! tape at no less than [`MIN_SPEEDUP`] times the tree walk, and writes the
+//! measurement to `results/search.json`.
 
 use criterion::{criterion_group, Criterion};
-use rayon::ThreadPoolBuilder;
+use sdlo_bench::profile::evaluator_cost;
 use sdlo_core::MissModel;
 use sdlo_ir::{programs, Bindings};
-use sdlo_tilesearch::{SearchOutcome, SearchSpace, TileSearcher};
+use sdlo_tilesearch::{SearchSpace, TileSearcher};
 use std::hint::black_box;
-use std::time::Instant;
 
 const N: i128 = 512;
 const CACHE: u64 = 8192;
-/// Fan out at least this wide regardless of visible cores.
-const MIN_WORKERS: usize = 4;
+/// The tape must evaluate a grid point at least this many times faster
+/// than the tree walk.
+const MIN_SPEEDUP: f64 = 5.0;
 
-fn searcher(model: &MissModel) -> TileSearcher<'_> {
-    let base = Bindings::new()
+fn bounds() -> Bindings {
+    Bindings::new()
         .with("Ni", N)
         .with("Nj", N)
         .with("Nm", N)
-        .with("Nn", N);
-    TileSearcher::new(
-        model,
-        base,
-        CACHE,
-        SearchSpace {
-            tile_syms: vec!["Ti".into(), "Tj".into(), "Tm".into(), "Tn".into()],
-            max: vec![N as u64; 4],
-            min: 4,
-        },
-    )
+        .with("Nn", N)
 }
 
-fn parallel_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .max(MIN_WORKERS)
+fn space() -> SearchSpace {
+    SearchSpace {
+        tile_syms: vec!["Ti".into(), "Tj".into(), "Tm".into(), "Tn".into()],
+        max: vec![N as u64; 4],
+        min: 4,
+    }
 }
 
 fn bench_search(c: &mut Criterion) {
     let model = MissModel::build(&programs::tiled_two_index());
-    let s = searcher(&model);
-    let one = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-    let many = ThreadPoolBuilder::new()
-        .num_threads(parallel_workers())
-        .build()
-        .unwrap();
+    let s = TileSearcher::new(&model, bounds(), CACHE, space());
     let mut g = c.benchmark_group("tilesearch");
     g.sample_size(10);
-    g.bench_function("pruned/sequential", |b| {
-        b.iter(|| black_box(one.install(|| s.pruned())));
-    });
-    g.bench_function("pruned/parallel", |b| {
-        b.iter(|| black_box(many.install(|| s.pruned())));
-    });
+    g.bench_function("pruned", |b| b.iter(|| black_box(s.pruned())));
+    g.bench_function("exhaustive", |b| b.iter(|| black_box(s.exhaustive())));
     g.finish();
 }
 
 criterion_group!(benches, bench_search);
 
-/// Median seconds per call over `samples` runs of `f`.
-fn median_secs(samples: usize, mut f: impl FnMut()) -> f64 {
-    let mut times: Vec<f64> = (0..samples)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[times.len() / 2]
-}
-
-fn assert_identical(seq: &SearchOutcome, par: &SearchOutcome) {
-    assert_eq!(seq.best, par.best, "parallel search changed the best tile");
-    assert_eq!(seq.evaluations, par.evaluations);
-    assert_eq!(seq.frontier, par.frontier);
-    assert!(seq.completed && par.completed);
-}
-
 fn main() {
     benches();
 
-    // The acceptance check behind the numbers above: the parallel search
-    // must return byte-identical outcomes to one worker, must not regress
-    // sequential throughput, and — where the hardware has the cores to show
-    // it — must deliver a real multi-worker speedup.
     let model = MissModel::build(&programs::tiled_two_index());
-    let s = searcher(&model);
-    let one = ThreadPoolBuilder::new().num_threads(1).build().unwrap();
-    let workers = parallel_workers();
-    let many = ThreadPoolBuilder::new()
-        .num_threads(workers)
-        .build()
-        .unwrap();
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-
-    let seq_out = one.install(|| s.pruned());
-    let par_out = many.install(|| s.pruned());
-    assert_identical(&seq_out, &par_out);
-
-    let seq = median_secs(5, || {
-        black_box(one.install(|| s.pruned()));
-    });
-    let par = median_secs(5, || {
-        black_box(many.install(|| s.pruned()));
-    });
-    let speedup = seq / par;
-    let summary = format!(
-        "tilesearch/pruned on tiled_two_index (N={N}, cache={CACHE}): \
-         sequential {:.3} ms, parallel {:.3} ms on {workers} workers \
-         ({cores} cores visible), speedup {speedup:.2}x\n",
-        seq * 1e3,
-        par * 1e3
+    let cost = evaluator_cost(&model, &bounds(), CACHE, &space(), 5);
+    assert!(
+        cost.identical,
+        "the tape and the tree walk disagree on some grid point"
     );
-    print!("{summary}");
+    let speedup = cost.speedup();
+    let summary = format!(
+        "{{\"program\":\"tiled_two_index\",\"n\":{N},\"cache\":{CACHE},\
+         \"points\":{},\"compile_micros\":{:.1},\"tape_nanos\":{:.1},\
+         \"tree_walk_nanos\":{:.1},\"speedup\":{speedup:.2},\"identical\":true}}\n",
+        cost.points, cost.compile_micros, cost.tape_nanos, cost.tree_nanos,
+    );
+    println!(
+        "tilesearch evaluator on tiled_two_index (N={N}, cache={CACHE}, {} points): \
+         tape {:.0} ns, tree walk {:.0} ns per grid point, {speedup:.2}x; \
+         compile {:.0} us",
+        cost.points, cost.tape_nanos, cost.tree_nanos, cost.compile_micros
+    );
 
     let results = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("results");
     let _ = std::fs::create_dir_all(&results);
-    std::fs::write(results.join("search-speedup.txt"), &summary)
-        .expect("write results/search-speedup.txt");
+    std::fs::write(results.join("search.json"), &summary).expect("write results/search.json");
 
     assert!(
-        speedup >= 0.7,
-        "parallel search must not regress sequential throughput, measured {speedup:.2}x"
+        speedup >= MIN_SPEEDUP,
+        "the tape must evaluate a grid point at least {MIN_SPEEDUP}x faster \
+         than the tree walk, measured {speedup:.2}x"
     );
-    // Timesliced workers on a small host can't beat one thread, so the real
-    // speedup gate only arms when the pool maps onto distinct cores.
-    if cores >= MIN_WORKERS {
-        assert!(
-            speedup >= 1.5,
-            "expected >=1.5x speedup on {workers} workers across {cores} cores, \
-             measured {speedup:.2}x"
-        );
-    }
 }

@@ -58,8 +58,9 @@ fn usage(to_stderr: bool) {
          \n\
          profile runs each pipeline phase (model build, prediction, tile\n\
          search, simulator replay) under the trace collector and prints a\n\
-         per-phase wall-time/counter table, plus a sequential-vs-parallel\n\
-         tile-search speedup line for the tiled builtins.\n\
+         per-phase wall-time/counter table, plus the tile search's\n\
+         per-grid-point evaluator cost (tape vs tree walk) for the tiled\n\
+         builtins.\n\
          \x20 tables profile <program>... | --all-builtins\n\
          \x20         [--trace-out PATH]  Chrome trace JSON (Perfetto-loadable)\n\
          \x20         [--budget-ms N]     exit 1 if model.build, tilesearch.pruned\n\
@@ -749,15 +750,16 @@ fn run_profile(args: &[String]) -> ! {
                 p.name, p.calls, p.total_micros, counters
             );
         }
-        if let Some(s) = &report.search {
+        if let Some(e) = &report.evaluator {
             println!(
-                "search speedup: sequential {} µs, parallel {} µs on {} worker(s), \
-                 {:.2}x, identical best: {}",
-                s.sequential_micros,
-                s.parallel_micros,
-                s.workers,
-                s.speedup(),
-                s.identical
+                "search evaluator: tape {:.0} ns, tree walk {:.0} ns per grid point \
+                 over {} points, {:.2}x, compile {:.0} µs, identical: {}",
+                e.tape_nanos,
+                e.tree_nanos,
+                e.points,
+                e.speedup(),
+                e.compile_micros,
+                e.identical
             );
         }
         println!();
@@ -835,16 +837,17 @@ fn run_profile(args: &[String]) -> ! {
                                 ),
                             ),
                             (
-                                "search_speedup",
-                                r.search
+                                "search_evaluator",
+                                r.evaluator
                                     .as_ref()
-                                    .map(|s| {
+                                    .map(|e| {
                                         Value::obj(vec![
-                                            ("workers", Value::from(s.workers as u64)),
-                                            ("sequential_micros", Value::from(s.sequential_micros)),
-                                            ("parallel_micros", Value::from(s.parallel_micros)),
-                                            ("speedup", Value::from(s.speedup())),
-                                            ("identical_best", Value::from(s.identical)),
+                                            ("points", Value::from(e.points as u64)),
+                                            ("compile_micros", Value::from(e.compile_micros)),
+                                            ("tape_nanos", Value::from(e.tape_nanos)),
+                                            ("tree_walk_nanos", Value::from(e.tree_nanos)),
+                                            ("speedup", Value::from(e.speedup())),
+                                            ("identical", Value::from(e.identical)),
                                         ])
                                     })
                                     .unwrap_or(Value::Null),

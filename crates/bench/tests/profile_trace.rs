@@ -29,12 +29,12 @@ fn chrome_trace_is_well_formed_and_covers_the_pipeline() {
     let _g = gate();
     let report = profile_builtin("two_index_tiled", &small()).expect("alias resolves");
     assert_eq!(report.program, "tiled_two_index");
-    let speedup = report
-        .search
+    let evaluator = report
+        .evaluator
         .as_ref()
-        .expect("tiled builtin times the search");
-    assert!(speedup.identical, "parallel search must match sequential");
-    assert!(speedup.workers >= 1);
+        .expect("tiled builtin times the search evaluator");
+    assert!(evaluator.identical, "the tape must match the tree walk");
+    assert_eq!(evaluator.points, 3usize.pow(4)); // tiles 4, 8, 16 per dim
     let doc = chrome_trace(std::slice::from_ref(&report));
     let v = sdlo_wire::parse(&doc).expect("trace JSON parses");
     let events = v
@@ -101,12 +101,12 @@ fn phase_summary_counts_partition_cells() {
     assert_eq!(partition.calls, 1);
     assert!(partition.counters["cells"] > 0);
     // matmul is untiled: no tile symbols, so no tile-search span and no
-    // search-speedup measurement.
+    // evaluator measurement.
     assert!(!report
         .phases
         .iter()
         .any(|p| p.name.starts_with("tilesearch")));
-    assert!(report.search.is_none());
+    assert!(report.evaluator.is_none());
 }
 
 #[test]

@@ -177,7 +177,10 @@ impl MissModel {
     pub fn predict_misses(&self, bindings: &Bindings, cache_size: u64) -> Result<u64, ModelError> {
         let mut total = 0u64;
         for c in &self.components {
-            total += Self::predict_component(c, bindings, cache_size)?.misses;
+            let misses = Self::predict_component(c, bindings, cache_size)?.misses;
+            total = total
+                .checked_add(misses)
+                .ok_or(ModelError::Eval(sdlo_symbolic::EvalError::Overflow))?;
         }
         Ok(total)
     }

@@ -2,7 +2,7 @@
 //! exhaustive over concrete bounds, or the bounds-free §6 variant, under an
 //! optional wall-clock / evaluation budget.
 
-use crate::api::{self, schema, ApiError, ProgramSpec};
+use crate::api::{self, schema, ApiError, ErrorKind, ProgramSpec};
 use crate::engine::{Engine, OpResult};
 use crate::ops::{OpCtx, ServiceOp};
 use sdlo_symbolic::Bindings;
@@ -194,7 +194,8 @@ impl ServiceOp for AdviseOp {
                     SearchMode::Exhaustive => searcher.exhaustive_with(&budget),
                 }
             }
-        };
+        }
+        .map_err(|e| api::fail(ErrorKind::Eval, e.to_string()))?;
         if !outcome.completed {
             engine
                 .metrics
@@ -217,7 +218,6 @@ impl ServiceOp for AdviseOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::ErrorKind;
 
     fn doc(s: &str) -> Value {
         sdlo_wire::parse(s).unwrap()

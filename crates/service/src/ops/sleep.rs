@@ -1,5 +1,7 @@
 //! `sleep` — test-only op the loopback tests use to make backpressure
-//! deterministic. Gated behind `enable_test_ops` and never advertised.
+//! deterministic; with `"panic":true` it panics instead, so tests can pin
+//! the worker's panic safety net. Gated behind `enable_test_ops` and never
+//! advertised.
 
 use crate::api::{self, ErrorKind};
 use crate::engine::{Engine, OpResult};
@@ -21,6 +23,9 @@ impl ServiceOp for SleepOp {
     fn serve(&self, engine: &Engine, ctx: &OpCtx<'_>) -> OpResult {
         if !engine.config.enable_test_ops {
             return Err(api::fail(ErrorKind::Unsupported, "test ops are disabled"));
+        }
+        if ctx.request.get("panic").and_then(Value::as_bool) == Some(true) {
+            panic!("test op asked to panic");
         }
         let millis = ctx
             .request

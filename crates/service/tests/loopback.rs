@@ -693,19 +693,22 @@ fn concurrent_connections_share_the_model_cache() {
 
 #[test]
 fn panicking_requests_get_internal_errors_and_workers_survive() {
-    // This advise binds a tile outside the search space to 0, which panics
-    // inside the tile search. Two of them would take down both workers of a
-    // two-worker pool if panics escaped the worker loop.
+    // Two panicking requests would take down both workers of a two-worker
+    // pool if panics escaped the worker loop.
     let handle = start(ServerConfig {
         workers: 2,
+        engine: EngineConfig {
+            enable_test_ops: true,
+            ..EngineConfig::default()
+        },
         ..small_server()
     });
     let mut c = Client::connect(handle.addr()).unwrap();
     c.set_read_timeout(Some(std::time::Duration::from_secs(30)))
         .unwrap();
-    let hostile = r#"{"op":"advise","id":7,"request_id":"hostile","program":"tiled_matmul","cache":8192,"bindings":{"Ni":512,"Nj":512,"Nk":512,"Ti":0},"space":{"syms":["Tj","Tk"],"max":[64,64],"min":1}}"#;
+    let panicking = r#"{"op":"sleep","id":7,"request_id":"hostile","panic":true}"#;
     for _ in 0..2 {
-        let resp = req(&mut c, hostile);
+        let resp = req(&mut c, panicking);
         assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false), "{resp:?}");
         assert_eq!(
             resp.path(&["error", "kind"]).unwrap().as_str(),
@@ -719,13 +722,25 @@ fn panicking_requests_get_internal_errors_and_workers_survive() {
         r#"{"op":"predict","program":"matmul","bindings":{"Ni":16,"Nj":16,"Nk":16},"cache":64}"#,
     );
     assert_eq!(resp.get("ok").unwrap().as_bool(), Some(true), "{resp:?}");
+    // Binding a tile outside the search space to 0 used to panic inside
+    // the tile search; it is an `eval` error now and no panic.
+    let resp = req(
+        &mut c,
+        r#"{"op":"advise","program":"tiled_matmul","cache":8192,"bindings":{"Ni":512,"Nj":512,"Nk":512,"Ti":0},"space":{"syms":["Tj","Tk"],"max":[64,64],"min":1}}"#,
+    );
+    assert_eq!(
+        resp.path(&["error", "kind"]).unwrap().as_str(),
+        Some("eval"),
+        "{resp:?}"
+    );
 
     use std::sync::atomic::Ordering;
     let metrics = handle.metrics();
     assert_eq!(metrics.worker_panics.load(Ordering::Relaxed), 2);
     assert_eq!(metrics.queue_depth.load(Ordering::SeqCst), 0);
-    let advise = metrics.kind(sdlo_service::Kind::Advise);
-    assert_eq!(advise.in_flight.load(Ordering::Relaxed), 0);
+    for kind in [sdlo_service::Kind::Sleep, sdlo_service::Kind::Advise] {
+        assert_eq!(metrics.kind(kind).in_flight.load(Ordering::Relaxed), 0);
+    }
     let resp = req(&mut c, r#"{"op":"metrics"}"#);
     let text = resp.get("text").unwrap().as_str().unwrap();
     assert!(text.contains("sdlo_worker_panics_total 2"), "{text}");

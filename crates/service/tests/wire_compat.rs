@@ -399,6 +399,20 @@ fn schema_errors_use_the_unified_envelope() {
 }
 
 #[test]
+fn zero_tile_outside_the_search_space_is_an_eval_error() {
+    // A tile that is not searched, bound to 0, divides by zero in the
+    // model: the same `eval` error `predict` gives for that binding.
+    let e = engine();
+    let reply = e.handle_line(
+        r#"{"op":"advise","id":7,"request_id":"hostile","program":"tiled_matmul","cache":8192,"bindings":{"Ni":512,"Nj":512,"Nk":512,"Ti":0},"space":{"syms":["Tj","Tk"],"max":[64,64],"min":1}}"#,
+    );
+    assert_eq!(
+        reply,
+        r#"{"id":7,"request_id":"hostile","v":1,"ok":false,"error":{"kind":"eval","message":"evaluation failed: division by zero"}}"#
+    );
+}
+
+#[test]
 fn batch_deadline_uses_deadline_exceeded_kind() {
     // A zero request budget forces every sub-request over the line.
     let e = Engine::new(EngineConfig {

@@ -34,7 +34,7 @@ impl Atom {
                 if d == 0 {
                     return Err(EvalError::DivisionByZero);
                 }
-                Ok(div_ceil(n, d))
+                div_ceil(n, d).ok_or(EvalError::Overflow)
             }
             Atom::FloorDiv(n, d) => {
                 let n = n.eval_i128(bindings)?;
@@ -42,7 +42,7 @@ impl Atom {
                 if d == 0 {
                     return Err(EvalError::DivisionByZero);
                 }
-                Ok(div_floor(n, d))
+                div_floor(n, d).ok_or(EvalError::Overflow)
             }
             Atom::Min(es) => {
                 let mut best = i128::MAX;
@@ -80,26 +80,36 @@ impl Atom {
     }
 }
 
-/// Ceiling division on `i128` (both signs handled, `d != 0`).
-pub(crate) fn div_ceil(n: i128, d: i128) -> i128 {
-    let q = n / d;
-    let r = n % d;
-    if r != 0 && ((r > 0) == (d > 0)) {
-        q + 1
-    } else {
-        q
+/// Truncating quotient and remainder; `None` when `d == 0` or the quotient
+/// overflows (`i128::MIN / -1`). Operands that fit in `i64` take the native
+/// division instead of the `i128` library call.
+fn div_rem(n: i128, d: i128) -> Option<(i128, i128)> {
+    match (i64::try_from(n), i64::try_from(d)) {
+        (Ok(n), Ok(d)) if d != 0 && d != -1 => Some(((n / d).into(), (n % d).into())),
+        _ => Some((n.checked_div(d)?, n.checked_rem(d)?)),
     }
 }
 
-/// Floor division on `i128` (both signs handled, `d != 0`).
-pub(crate) fn div_floor(n: i128, d: i128) -> i128 {
-    let q = n / d;
-    let r = n % d;
-    if r != 0 && ((r > 0) != (d > 0)) {
+/// Ceiling division on `i128`, both signs handled; `None` when `d == 0` or
+/// the quotient overflows.
+pub fn div_ceil(n: i128, d: i128) -> Option<i128> {
+    let (q, r) = div_rem(n, d)?;
+    Some(if r != 0 && ((r > 0) == (d > 0)) {
+        q + 1
+    } else {
+        q
+    })
+}
+
+/// Floor division on `i128`, both signs handled; `None` when `d == 0` or
+/// the quotient overflows.
+pub fn div_floor(n: i128, d: i128) -> Option<i128> {
+    let (q, r) = div_rem(n, d)?;
+    Some(if r != 0 && ((r > 0) != (d > 0)) {
         q - 1
     } else {
         q
-    }
+    })
 }
 
 impl std::fmt::Display for Atom {
@@ -138,14 +148,21 @@ mod tests {
 
     #[test]
     fn ceil_floor_div_signs() {
-        assert_eq!(div_ceil(7, 2), 4);
-        assert_eq!(div_ceil(8, 2), 4);
-        assert_eq!(div_ceil(-7, 2), -3);
-        assert_eq!(div_ceil(7, -2), -3);
-        assert_eq!(div_floor(7, 2), 3);
-        assert_eq!(div_floor(-7, 2), -4);
-        assert_eq!(div_floor(7, -2), -4);
-        assert_eq!(div_floor(-8, -2), 4);
+        assert_eq!(div_ceil(7, 2), Some(4));
+        assert_eq!(div_ceil(8, 2), Some(4));
+        assert_eq!(div_ceil(-7, 2), Some(-3));
+        assert_eq!(div_ceil(7, -2), Some(-3));
+        assert_eq!(div_floor(7, 2), Some(3));
+        assert_eq!(div_floor(-7, 2), Some(-4));
+        assert_eq!(div_floor(7, -2), Some(-4));
+        assert_eq!(div_floor(-8, -2), Some(4));
+        // Past the i64 fast path: same rule on i128 operands.
+        let big = 1i128 << 80;
+        assert_eq!(div_ceil(big + 1, 2), Some((big >> 1) + 1));
+        assert_eq!(div_floor(-big - 1, 2), Some(-(big >> 1) - 1));
+        assert_eq!(div_ceil(i64::MIN.into(), -1), Some(1i128 << 63));
+        assert_eq!(div_ceil(1, 0), None);
+        assert_eq!(div_floor(i128::MIN, -1), None);
     }
 
     #[test]

@@ -213,8 +213,9 @@ impl Expr {
         }
         if let (Some(n), Some(d)) = (self.as_const(), rhs.as_const()) {
             if d != 0 {
+                let q = crate::atom::div_ceil(n.into(), d.into());
                 return Expr::from(
-                    i64::try_from(crate::atom::div_ceil(n as i128, d as i128))
+                    q.and_then(|q| i64::try_from(q).ok())
                         .expect("ceil_div overflow"),
                 );
             }
@@ -229,8 +230,9 @@ impl Expr {
         }
         if let (Some(n), Some(d)) = (self.as_const(), rhs.as_const()) {
             if d != 0 {
+                let q = crate::atom::div_floor(n.into(), d.into());
                 return Expr::from(
-                    i64::try_from(crate::atom::div_floor(n as i128, d as i128))
+                    q.and_then(|q| i64::try_from(q).ok())
                         .expect("floor_div overflow"),
                 );
             }

@@ -35,7 +35,7 @@ mod bindings;
 mod expr;
 mod parse;
 
-pub use atom::Atom;
+pub use atom::{div_ceil, div_floor, Atom};
 pub use bindings::Bindings;
 pub use expr::{EvalError, Expr, Term};
 pub use parse::{parse_expr, ParseError};

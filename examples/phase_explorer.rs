@@ -41,7 +41,7 @@ fn main() {
     // and jumps when a stack distance crosses the cache size.
     println!("tiled matmul, N = {n}, cache = {cache} doubles");
     println!("misses vs Ti (Tj = Tk = 8):\n");
-    let curve = searcher.miss_curve(0, &[4, 8, 8]);
+    let curve = searcher.miss_curve(0, &[4, 8, 8]).unwrap();
     let max = curve.iter().map(|(_, m)| *m).max().unwrap();
     for (ti, misses) in &curve {
         println!("  Ti={ti:<4} {misses:>12}  {}", bar(*misses, max));
