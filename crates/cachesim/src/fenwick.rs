@@ -1,33 +1,23 @@
-//! Fenwick (binary indexed) tree over `u32` counters, used by the fast
-//! stack-distance engine to count distinct blocks between two access times.
+//! Fenwick (binary indexed) tree over `u32` counters, used by the
+//! stack-distance engine to count live slots up to a bitmap word.
 
 /// A Fenwick tree supporting point add and prefix-sum queries in `O(log n)`.
 #[derive(Debug, Clone)]
-pub struct Fenwick {
+pub(crate) struct Fenwick {
     tree: Vec<u32>,
 }
 
 impl Fenwick {
     /// A tree over indices `0..n`, all zero.
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         Fenwick {
             tree: vec![0; n + 1],
         }
     }
 
-    /// Capacity (number of indices).
-    pub fn len(&self) -> usize {
-        self.tree.len() - 1
-    }
-
-    /// Whether the tree has zero capacity.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Add `delta` at `index`.
     #[inline]
-    pub fn add(&mut self, index: usize, delta: i32) {
+    pub(crate) fn add(&mut self, index: usize, delta: i32) {
         let mut i = index + 1;
         while i < self.tree.len() {
             self.tree[i] = self.tree[i].wrapping_add(delta as u32);
@@ -37,7 +27,7 @@ impl Fenwick {
 
     /// Sum of values at indices `0..=index`.
     #[inline]
-    pub fn prefix_sum(&self, index: usize) -> u64 {
+    pub(crate) fn prefix_sum(&self, index: usize) -> u64 {
         let mut i = (index + 1).min(self.tree.len() - 1);
         let mut acc = 0u64;
         while i > 0 {
@@ -45,21 +35,6 @@ impl Fenwick {
             i -= i & i.wrapping_neg();
         }
         acc
-    }
-
-    /// Sum over the half-open range `(lo, hi)` exclusive of both endpoints,
-    /// i.e. indices `lo+1 ..= hi-1`.
-    #[inline]
-    pub fn sum_between_exclusive(&self, lo: usize, hi: usize) -> u64 {
-        if hi <= lo + 1 {
-            return 0;
-        }
-        self.prefix_sum(hi - 1) - self.prefix_sum(lo)
-    }
-
-    /// Reset all counters to zero, keeping capacity.
-    pub fn clear(&mut self) {
-        self.tree.fill(0);
     }
 }
 
@@ -77,18 +52,6 @@ mod tests {
         assert_eq!(f.prefix_sum(3), 1);
         assert_eq!(f.prefix_sum(4), 3);
         assert_eq!(f.prefix_sum(9), 6);
-    }
-
-    #[test]
-    fn range_between_exclusive() {
-        let mut f = Fenwick::new(8);
-        for i in 0..8 {
-            f.add(i, 1);
-        }
-        // Between slots 2 and 6 exclusive: slots 3,4,5.
-        assert_eq!(f.sum_between_exclusive(2, 6), 3);
-        assert_eq!(f.sum_between_exclusive(2, 3), 0);
-        assert_eq!(f.sum_between_exclusive(0, 7), 6);
     }
 
     #[test]

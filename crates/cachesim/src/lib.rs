@@ -5,9 +5,11 @@
 //!
 //! Two complementary simulators:
 //!
-//! * [`StackDistanceEngine`] — exact LRU stack distances via an
-//!   order-statistic treap; one pass over the trace yields miss counts for
-//!   **every** fully associative capacity ([`StackDistHistogram::misses`]).
+//! * [`StackDistanceEngine`] — exact LRU stack distances over a dense
+//!   block → last-slot table, a one-bit-per-slot liveness bitmap and a
+//!   Fenwick tree over the bitmap's word popcounts; one pass over the trace
+//!   yields miss counts for **every** fully associative capacity
+//!   ([`StackDistHistogram::misses`]).
 //!   This is the ground truth the paper's analytical model is validated
 //!   against (Tables 2–3).
 //! * [`SetAssocCache`] — concrete set-associative / direct-mapped LRU caches
@@ -20,12 +22,9 @@
 mod cache;
 mod fenwick;
 mod lru;
-mod treap;
 
 pub use cache::{CacheStats, SetAssocCache};
-pub use fenwick::Fenwick;
 pub use lru::{Distance, StackDistHistogram, StackDistanceEngine};
-pub use treap::Treap;
 
 use sdlo_ir::CompiledProgram;
 

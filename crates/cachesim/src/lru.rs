@@ -10,16 +10,22 @@
 //!
 //! ## Algorithm
 //!
-//! Bennett–Kruskal with slot compaction: every access is assigned a
-//! monotonically increasing *slot*; a Fenwick tree marks the slots that are
-//! the most recent access of some block. The stack distance of a reuse whose
-//! previous access sits in slot `s₀` is the number of marked slots after
-//! `s₀`, i.e. `active − prefix_sum(s₀)` — one `O(log S)` query. When the
-//! slot array fills, live slots are compacted to the front; the array is kept
-//! at least twice the number of live blocks, so compaction is amortized
-//! `O(1)` per access. This is ~20× faster than a balanced-tree
-//! implementation (see [`Treap`](crate::Treap), kept as the
-//! reference/oracle).
+//! Bennett–Kruskal with slot compaction. Every access takes the next
+//! *slot*, a monotonically increasing counter, and a liveness bitmap holds
+//! one bit per slot, set while that slot is the most recent access of its
+//! block. The stack distance of a reuse whose previous access sits in slot
+//! `s₀` is the number of set bits after `s₀`. Slots fill the bitmap one
+//! 64-bit word at a time, and a Fenwick tree over the popcounts of the
+//! *closed* words (every word before the one the next slot falls in) counts
+//! the live slots up to any word. A reuse inside the open tail word so costs
+//! one shift and one popcount; any other reuse costs one query and one
+//! update on a tree 64× smaller than the slot range.
+//!
+//! When the slots run out, live slots are compacted to the front: each
+//! block's entry in the dense last-slot table is renumbered by its rank,
+//! the live bits in earlier words plus those below it in its own word. The
+//! slot range stays at least twice the number of live blocks and at least
+//! the address space, so compaction is amortized `O(1)` per access.
 
 use crate::fenwick::Fenwick;
 
@@ -34,35 +40,6 @@ pub enum Distance {
 }
 
 const NO_SLOT: u32 = u32::MAX;
-
-/// `block → slot` bookkeeping: dense table when the address space is compact
-/// (our traces lay arrays out back-to-back, so it always is), hash map
-/// otherwise.
-#[derive(Debug, Clone)]
-enum LastSlot {
-    Dense(Vec<u32>),
-    Sparse(std::collections::HashMap<u64, u32>),
-}
-
-impl LastSlot {
-    #[inline]
-    fn get(&self, addr: u64) -> u32 {
-        match self {
-            LastSlot::Dense(v) => v[addr as usize],
-            LastSlot::Sparse(m) => m.get(&addr).copied().unwrap_or(NO_SLOT),
-        }
-    }
-
-    #[inline]
-    fn set(&mut self, addr: u64, slot: u32) {
-        match self {
-            LastSlot::Dense(v) => v[addr as usize] = slot,
-            LastSlot::Sparse(m) => {
-                m.insert(addr, slot);
-            }
-        }
-    }
-}
 
 /// Histogram of stack distances, queryable for miss counts at any capacity.
 #[derive(Debug, Clone, Default)]
@@ -155,17 +132,21 @@ impl StackDistHistogram {
 ///
 /// ```
 /// use sdlo_cachesim::{Distance, StackDistanceEngine};
-/// let mut e = StackDistanceEngine::new();
+/// let mut e = StackDistanceEngine::with_dense_addresses(32);
 /// assert_eq!(e.access(10), Distance::Cold);
 /// assert_eq!(e.access(20), Distance::Cold);
 /// assert_eq!(e.access(10), Distance::Finite(1)); // one distinct block (20) in between
 /// ```
 #[derive(Debug, Clone)]
 pub struct StackDistanceEngine {
-    last: LastSlot,
-    /// slot → block address, for compaction.
-    slot_addr: Vec<u64>,
-    fenwick: Fenwick,
+    /// Block → slot of its most recent access, or `NO_SLOT`.
+    last: Vec<u32>,
+    /// Liveness bitmap: bit `s` is set iff slot `s` is some block's most
+    /// recent access.
+    live: Vec<u64>,
+    /// Popcounts of the closed words of `live`: those before
+    /// `next_slot / 64`.
+    closed: Fenwick,
     next_slot: usize,
     active: u64,
     hist: StackDistHistogram,
@@ -173,29 +154,15 @@ pub struct StackDistanceEngine {
 
 const INITIAL_SLOTS: usize = 1 << 12;
 
-impl Default for StackDistanceEngine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl StackDistanceEngine {
-    /// Engine with hash-map address bookkeeping (arbitrary `u64` addresses).
-    pub fn new() -> Self {
-        Self::with_last(LastSlot::Sparse(std::collections::HashMap::new()))
-    }
-
-    /// Engine with a dense last-access table for addresses in
-    /// `0..address_space`; noticeably faster for long traces.
+    /// Engine for block addresses in `0..address_space`.
     pub fn with_dense_addresses(address_space: u64) -> Self {
-        Self::with_last(LastSlot::Dense(vec![NO_SLOT; address_space as usize]))
-    }
-
-    fn with_last(last: LastSlot) -> Self {
+        let blocks = usize::try_from(address_space).expect("address space fits in usize");
+        let slots = blocks.next_multiple_of(64).max(INITIAL_SLOTS);
         StackDistanceEngine {
-            last,
-            slot_addr: vec![0; INITIAL_SLOTS],
-            fenwick: Fenwick::new(INITIAL_SLOTS),
+            last: vec![NO_SLOT; blocks],
+            live: vec![0; slots / 64],
+            closed: Fenwick::new(slots / 64),
             next_slot: 0,
             active: 0,
             hist: StackDistHistogram::default(),
@@ -205,55 +172,74 @@ impl StackDistanceEngine {
     /// Process one access and return its stack distance.
     #[inline]
     pub fn access(&mut self, addr: u64) -> Distance {
-        let s0 = self.last.get(addr);
+        let block = addr as usize;
+        let s0 = self.last[block];
         let d = if s0 == NO_SLOT {
             Distance::Cold
         } else {
-            // `prefix_sum(s0)` still counts s0's own mark, so
-            // `active - below` is exactly the number of distinct blocks
-            // accessed strictly after s0.
-            let below = self.fenwick.prefix_sum(s0 as usize);
-            self.fenwick.add(s0 as usize, -1);
-            self.last.set(addr, NO_SLOT);
+            let (w, b) = (s0 as usize / 64, s0 % 64);
+            // Live slots after s0 in its own word (two shifts, as b + 1 may
+            // be 64) ...
+            let mut after = u64::from((self.live[w] >> b >> 1).count_ones());
+            if w < self.next_slot / 64 {
+                // ... plus those in later words: every live slot but the
+                // ones in words 0..=w, all of which are closed.
+                after += self.active - self.closed.prefix_sum(w);
+                self.closed.add(w, -1);
+            }
+            self.live[w] &= !(1 << b);
             self.active -= 1;
-            Distance::Finite(self.active + 1 - below)
+            Distance::Finite(after)
         };
-        if self.next_slot == self.slot_addr.len() {
+        if self.next_slot == self.live.len() * 64 {
             self.compact();
         }
         let s = self.next_slot;
+        self.last[block] = s as u32;
+        self.live[s / 64] |= 1 << (s % 64);
         self.next_slot += 1;
-        self.fenwick.add(s, 1);
-        self.slot_addr[s] = addr;
-        self.last.set(addr, s as u32);
+        if self.next_slot.is_multiple_of(64) {
+            self.closed
+                .add(s / 64, self.live[s / 64].count_ones() as i32);
+        }
         self.active += 1;
         self.hist.record(d);
         d
     }
 
-    /// Move live slots to the front, growing capacity if more than half the
-    /// slots are live (keeps compaction amortized O(1) per access).
+    /// Renumber the live slots to `0..active` in slot order, doubling the
+    /// slot range while more than half of it would be live (keeps compaction
+    /// amortized O(1) per access).
     fn compact(&mut self) {
-        let live: Vec<u64> = (0..self.next_slot)
-            .filter(|&s| {
-                let addr = self.slot_addr[s];
-                self.last.get(addr) == s as u32
-            })
-            .map(|s| self.slot_addr[s])
-            .collect();
-        debug_assert_eq!(live.len() as u64, self.active);
-        let mut capacity = self.slot_addr.len();
-        while live.len() * 2 > capacity {
-            capacity *= 2;
+        // rank[w] = live slots in the words before w.
+        let mut rank = Vec::with_capacity(self.live.len());
+        let mut below = 0u32;
+        for word in &self.live {
+            rank.push(below);
+            below += word.count_ones();
         }
-        self.slot_addr = vec![0; capacity];
-        self.fenwick = Fenwick::new(capacity);
-        for (s, &addr) in live.iter().enumerate() {
-            self.slot_addr[s] = addr;
-            self.last.set(addr, s as u32);
-            self.fenwick.add(s, 1);
+        debug_assert_eq!(u64::from(below), self.active);
+        // A reused block still maps to its cleared slot here; `access`
+        // overwrites that entry right after.
+        for s in self.last.iter_mut().filter(|s| **s != NO_SLOT) {
+            let (w, b) = (*s as usize / 64, *s % 64);
+            *s = rank[w] + (self.live[w] & ((1 << b) - 1)).count_ones();
         }
-        self.next_slot = live.len();
+        let live = self.active as usize;
+        let mut slots = self.live.len() * 64;
+        while live * 2 > slots {
+            slots *= 2;
+        }
+        self.live = vec![0; slots / 64];
+        self.closed = Fenwick::new(slots / 64);
+        let full = live / 64;
+        self.live[..full].fill(u64::MAX);
+        for w in 0..full {
+            self.closed.add(w, 64);
+        }
+        // The open word; `live <= slots / 2` keeps it in range.
+        self.live[full] = (1 << (live % 64)) - 1;
+        self.next_slot = live;
     }
 
     /// Number of distinct blocks seen so far.
@@ -275,27 +261,64 @@ impl StackDistanceEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
-    /// Naive O(n²) stack distance for validation.
-    fn naive(trace: &[u64]) -> Vec<Distance> {
-        let mut out = Vec::new();
-        for (i, &a) in trace.iter().enumerate() {
-            let prev = trace[..i].iter().rposition(|&x| x == a);
-            match prev {
-                None => out.push(Distance::Cold),
-                Some(p) => {
-                    let distinct: std::collections::BTreeSet<u64> =
-                        trace[p + 1..i].iter().copied().collect();
-                    out.push(Distance::Finite(distinct.len() as u64));
-                }
-            }
+    /// Naive O(n²) oracle: a move-to-front LRU stack, most recent block
+    /// last, where a reuse's stack distance is the number of blocks above it.
+    fn lru_stack(trace: &[u64]) -> Vec<Distance> {
+        let mut stack: Vec<u64> = Vec::new();
+        trace
+            .iter()
+            .map(|&addr| {
+                let d = match stack.iter().rposition(|&b| b == addr) {
+                    Some(depth) => {
+                        stack.remove(depth);
+                        Distance::Finite((stack.len() - depth) as u64)
+                    }
+                    None => Distance::Cold,
+                };
+                stack.push(addr);
+                d
+            })
+            .collect()
+    }
+
+    /// Replay `trace` over `0..blocks`, asserting every distance and the
+    /// final histogram against [`lru_stack`].
+    fn replay_against_lru_stack(blocks: u64, trace: &[u64]) -> StackDistanceEngine {
+        let mut engine = StackDistanceEngine::with_dense_addresses(blocks);
+        let mut expected = StackDistHistogram::default();
+        for (i, (&addr, want)) in trace.iter().zip(lru_stack(trace)).enumerate() {
+            assert_eq!(engine.access(addr), want, "access {i} of {}", trace.len());
+            expected.record(want);
         }
-        out
+        let got = engine.histogram();
+        assert_eq!(got.cold, expected.cold);
+        assert_eq!(got.total(), expected.total());
+        assert!(got.iter().eq(expected.iter()), "histograms differ");
+        engine
+    }
+
+    /// `len` accesses over `blocks` blocks. Half the accesses are uniform;
+    /// the rest are shifted right by 1 to 7 bits, which skews them toward
+    /// low blocks, so short reuses (in the open word) mix with long ones
+    /// (across closed words).
+    fn skewed_traces(
+        blocks: std::ops::RangeInclusive<u64>,
+        len: std::ops::RangeInclusive<usize>,
+    ) -> impl Strategy<Value = (u64, Vec<u64>)> {
+        (blocks, len).prop_flat_map(|(blocks, len)| {
+            vec((0..blocks, 0u32..16), len).prop_map(move |v| {
+                let trace = v.into_iter().map(|(a, k)| a >> k.saturating_sub(8));
+                (blocks, trace.collect())
+            })
+        })
     }
 
     #[test]
     fn simple_reuse_pattern() {
-        let mut e = StackDistanceEngine::new();
+        let mut e = StackDistanceEngine::with_dense_addresses(4);
         assert_eq!(e.access(1), Distance::Cold);
         assert_eq!(e.access(2), Distance::Cold);
         assert_eq!(e.access(3), Distance::Cold);
@@ -314,49 +337,36 @@ mod tests {
             x
         };
         let trace: Vec<u64> = (0..600).map(|_| rand() % 40).collect();
-        let expect = naive(&trace);
-        let mut dense = StackDistanceEngine::with_dense_addresses(40);
-        let mut sparse = StackDistanceEngine::new();
-        for (i, &a) in trace.iter().enumerate() {
-            assert_eq!(dense.access(a), expect[i], "dense @{i}");
-            assert_eq!(sparse.access(a), expect[i], "sparse @{i}");
-        }
+        replay_against_lru_stack(40, &trace);
+        // The same blocks spread thinly over a large address space.
+        let sparse: Vec<u64> = trace.iter().map(|a| a * 997).collect();
+        replay_against_lru_stack(40 * 997, &sparse);
     }
 
-    #[test]
-    fn agrees_with_treap_reference_through_compactions() {
-        // Enough accesses over enough blocks to force several compactions
-        // (INITIAL_SLOTS is 4096).
-        let mut x = 42u64;
-        let mut rand = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut engine = StackDistanceEngine::new();
-        // Treap-based reference implementation.
-        let mut tree = crate::Treap::new();
-        let mut last = std::collections::HashMap::new();
-        for t in 0..40_000u64 {
-            let addr = rand() % 3000;
-            let expected = match last.get(&addr) {
-                None => Distance::Cold,
-                Some(&t0) => {
-                    let d = tree.count_greater(t0);
-                    tree.remove(t0);
-                    Distance::Finite(d)
-                }
-            };
-            tree.insert(t);
-            last.insert(addr, t);
-            assert_eq!(engine.access(addr), expected, "access {t}");
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn agrees_with_lru_stack_through_compactions(
+            (blocks, trace) in skewed_traces(3000..=4096, 3 * INITIAL_SLOTS + 1..=5 * INITIAL_SLOTS)
+        ) {
+            let engine = replay_against_lru_stack(blocks, &trace);
+            // More than INITIAL_SLOTS / 2 blocks went live, so the slot
+            // range doubled at some compaction.
+            prop_assert!(engine.live.len() * 64 > INITIAL_SLOTS);
+        }
+
+        #[test]
+        fn agrees_with_lru_stack_on_tiny_address_ranges(
+            (blocks, trace) in skewed_traces(1..=70, 1..=3 * INITIAL_SLOTS)
+        ) {
+            replay_against_lru_stack(blocks, &trace);
         }
     }
 
     #[test]
     fn histogram_miss_counts() {
-        let mut e = StackDistanceEngine::new();
+        let mut e = StackDistanceEngine::with_dense_addresses(4);
         // Cyclic scan of 4 blocks, 3 rounds: every reuse has distance 3.
         for _ in 0..3 {
             for a in 0..4 {
@@ -376,7 +386,7 @@ mod tests {
 
     #[test]
     fn misses_monotone_in_capacity() {
-        let mut e = StackDistanceEngine::new();
+        let mut e = StackDistanceEngine::with_dense_addresses(37);
         let trace: Vec<u64> = (0..500u64).map(|i| (i * i) % 37).collect();
         for &a in &trace {
             e.access(a);

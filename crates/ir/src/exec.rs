@@ -6,7 +6,7 @@
 
 use crate::node::StmtKind;
 use crate::program::ArrayId;
-use crate::trace::{CNode, CompiledProgram};
+use crate::trace::{CNode, CRef, CStmt, CompiledProgram};
 
 /// Flat storage for all of a compiled program's arrays.
 #[derive(Debug, Clone)]
@@ -74,51 +74,59 @@ pub fn execute(program: &CompiledProgram, mem: &mut Memory) -> Result<(), ExecEr
     }
     let mut iv = vec![0u64; program.n_slots];
     for n in &program.root {
-        exec_node(program, n, &mut iv, mem);
+        exec_node(n, &mut iv, mem);
     }
     Ok(())
 }
 
-/// Within-array offset of a reference at the current iteration point.
-/// (`CRef::terms` hold only loop contributions, so summing them yields the
-/// offset relative to the array base.)
-fn local_addr(_program: &CompiledProgram, r: &crate::trace::CRef, iv: &[u64]) -> (usize, usize) {
-    let mut addr = 0u64;
-    for (slot, coef) in &r.terms {
-        addr += iv[*slot] * coef;
-    }
-    (r.array.0, addr as usize)
+/// Array index and within-array offset of a reference at the current
+/// iteration point.
+fn local_addr(r: &CRef, iv: &[u64]) -> (usize, usize) {
+    (r.array.0, r.offset(iv) as usize)
 }
 
-fn exec_node(program: &CompiledProgram, node: &CNode, iv: &mut [u64], mem: &mut Memory) {
+fn exec_node(node: &CNode, iv: &mut [u64], mem: &mut Memory) {
     match node {
         CNode::Loop { bound, slot, body } => {
             for i in 0..*bound {
                 iv[*slot] = i;
                 for n in body {
-                    exec_node(program, n, iv, mem);
+                    exec_node(n, iv, mem);
                 }
             }
         }
-        CNode::Stmt { kind, refs, .. } => match kind {
-            StmtKind::ZeroLhs => {
-                let (a, off) = local_addr(program, &refs[0], iv);
-                mem.data[a][off] = 0.0;
+        CNode::Stepped { bound, slot, body } => {
+            for i in 0..*bound {
+                iv[*slot] = i;
+                for s in body {
+                    exec_stmt(s, iv, mem);
+                }
             }
-            StmtKind::Assign => {
-                let (sa, soff) = local_addr(program, &refs[1], iv);
-                let v = mem.data[sa][soff];
-                let (da, doff) = local_addr(program, &refs[0], iv);
-                mem.data[da][doff] = v;
-            }
-            StmtKind::MulAddAssign => {
-                let (xa, xoff) = local_addr(program, &refs[1], iv);
-                let (ya, yoff) = local_addr(program, &refs[2], iv);
-                let v = mem.data[xa][xoff] * mem.data[ya][yoff];
-                let (da, doff) = local_addr(program, &refs[0], iv);
-                mem.data[da][doff] += v;
-            }
-        },
+        }
+        CNode::Stmt(s) => exec_stmt(s, iv, mem),
+    }
+}
+
+fn exec_stmt(s: &CStmt, iv: &[u64], mem: &mut Memory) {
+    let refs = &s.refs;
+    match s.kind {
+        StmtKind::ZeroLhs => {
+            let (a, off) = local_addr(&refs[0], iv);
+            mem.data[a][off] = 0.0;
+        }
+        StmtKind::Assign => {
+            let (sa, soff) = local_addr(&refs[1], iv);
+            let v = mem.data[sa][soff];
+            let (da, doff) = local_addr(&refs[0], iv);
+            mem.data[da][doff] = v;
+        }
+        StmtKind::MulAddAssign => {
+            let (xa, xoff) = local_addr(&refs[1], iv);
+            let (ya, yoff) = local_addr(&refs[2], iv);
+            let v = mem.data[xa][xoff] * mem.data[ya][yoff];
+            let (da, doff) = local_addr(&refs[0], iv);
+            mem.data[da][doff] += v;
+        }
     }
 }
 
