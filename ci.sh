@@ -65,11 +65,12 @@ benchmark/run.sh --smoke
 echo "==> search bench (tape vs tree walk, >=5x)"
 cargo bench -q -p sdlo-bench --bench search
 
-# Reactive model engine: revising a live model DAG through a 64-point tile
-# sweep must be at least 5x cheaper than cold per-point DAG rebuilds, with
+# Revise sessions: revising a live model (one run of its compiled tape per
+# point) through a 64-point tile sweep must be at least 5x cheaper than
+# building a fresh session (compiling the tape) per point, with
 # byte-identical miss counts (the bench exits 1 otherwise). The measurement
 # is archived in results/revise.json.
-echo "==> revise bench (warm DAG vs cold rebuild, >=5x)"
+echo "==> revise bench (warm revise vs cold rebuild, >=5x)"
 cargo bench -q -p sdlo-bench --bench revise
 
 # Load smoke: 256 concurrent clients against an in-process server for a few

@@ -1,11 +1,10 @@
-//! Warm-DAG revise vs cold rebuild: the tentpole claim of the reactive
-//! model engine is that sweeping tile sizes over a live [`ModelDag`]
-//! re-evaluates only the tile-dependent expression nodes, so a 64-point
-//! tile sweep through `revise` must be much cheaper than rebuilding the
-//! DAG (cold evaluation of every expression) at each point. The bench
-//! asserts byte-identical miss counts between the two paths, gates on a
-//! 5x warm-sweep speedup, and archives the measurement in
-//! `results/revise.json`.
+//! Warm revise vs cold rebuild: a live [`ModelDag`] keeps its model
+//! compiled to a tape, so each point of a tile sweep through `revise` is
+//! one run of that tape, and a 64-point sweep must be much cheaper than
+//! building a fresh DAG (compiling the tape, then running it) at each
+//! point. The bench asserts byte-identical miss counts between the two
+//! paths and with `predict_misses`, gates on a 5x warm-sweep speedup, and
+//! archives the measurement in `results/revise.json`.
 
 use criterion::{criterion_group, Criterion};
 use sdlo_core::dag::{DagDelta, ModelDag};
@@ -39,7 +38,7 @@ fn bindings_for((ti, tj, tk): (i128, i128, i128)) -> Bindings {
     base_bindings().with("Ti", ti).with("Tj", tj).with("Tk", tk)
 }
 
-/// Cold path: a fresh DAG per point — every expression node evaluated.
+/// Cold path: a fresh DAG per point — the tape compiled and run.
 fn sweep_cold(model: &MissModel, points: &[(i128, i128, i128)]) -> Vec<u64> {
     points
         .iter()
@@ -149,7 +148,7 @@ fn main() {
 
     assert!(
         speedup >= 5.0,
-        "warm-DAG revise sweep must be at least 5x cheaper than cold \
+        "warm revise sweep must be at least 5x cheaper than cold \
          rebuilds over the 64-point grid, measured {speedup:.2}x"
     );
 }

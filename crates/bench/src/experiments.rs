@@ -272,7 +272,7 @@ pub struct FigSeries {
 /// equi-sized tiles {32,64,128,256} and the search-predicted tuple.
 ///
 /// The paper measured a Sun Sunfire; this host substitutes the paper's own
-/// §7 cost models (both limits) and optionally measures the real rayon
+/// §7 cost models (both limits) and optionally measures the real threaded
 /// kernels (`measure = true`; on a single-CPU host the measured curve shows
 /// correctness and work balance, not speedup).
 pub fn figure(n: u64, measure: bool) -> Vec<FigSeries> {

@@ -37,7 +37,7 @@ pub mod partition;
 pub mod tape;
 
 pub use atree::{ANode, ATree};
-pub use dag::{DagDelta, DagStats, ModelDag, ReviseOutcome};
+pub use dag::{DagDelta, ModelDag, ReviseOutcome};
 pub use extent::{seq_costs, subtree_costs, CostMap};
 pub use model::{ComponentPrediction, MissModel, ModelError};
 pub use partition::{all_components, components_for, Component, ComponentKind, StackDistance};

@@ -55,9 +55,9 @@ pub enum DistanceValues {
 }
 
 /// The §5 miss formula on already-evaluated inputs. [`MissModel::predict_component`]
-/// and the reactive DAG ([`crate::dag::ModelDag`]) both funnel through this
-/// one function, so the incremental path agrees with a cold rebuild
-/// bit-for-bit by construction.
+/// and the compiled tape ([`crate::Tape`], which the tile search and the
+/// `revise` sessions run) both funnel through this one function, so the two
+/// evaluators agree bit-for-bit by construction.
 pub fn predict_from_values(
     count_i: i64,
     distance: DistanceValues,

@@ -25,7 +25,11 @@
 //!
 //! A tape holds two programs. The *misses* program follows
 //! [`MissModel::predict_misses`]: per component, the count, then the
-//! distances, then the count's sign check. The *distances* program follows
+//! distances, then the count's sign check. One run of it prices any number
+//! of cache sizes ([`Tape::misses_at`]), each as the tree walk does: the
+//! components' misses summed in order with a checked add, so a total that
+//! overflows before the component that reaches a failing op fails with the
+//! overflow, as in the tree walk. The *distances* program follows
 //! [`MissModel::distance_values`] and never evaluates a count.
 //!
 //! ```
@@ -142,12 +146,9 @@ struct Program {
 }
 
 impl Program {
-    /// Run every op, stopping at the first failure.
-    fn run<'v>(
-        &self,
-        inputs: &[i128],
-        values: &'v mut Vec<i128>,
-    ) -> Result<&'v [i128], ModelError> {
+    /// Run every op into `values`, stopping at the first failure: `Err`
+    /// holds the failing op's index and its error.
+    fn run(&self, inputs: &[i128], values: &mut Vec<i128>) -> Result<(), (usize, ModelError)> {
         let first = inputs.len() + self.consts.len();
         values.resize(first + self.ops.len(), 0);
         let values = values.as_mut_slice();
@@ -156,10 +157,10 @@ impl Program {
         for (k, op) in self.ops.iter().enumerate() {
             match exec(*op, |i| values[i as usize]) {
                 Some(v) => values[first + k] = v,
-                None => return Err(fault(op.map(|i| values[i as usize]), &self.unbound)),
+                None => return Err((k, fault(op.map(|i| values[i as usize]), &self.unbound))),
             }
         }
-        Ok(values)
+        Ok(())
     }
 }
 
@@ -339,14 +340,24 @@ impl<V> DistanceRoots<V> {
     }
 }
 
+/// One component's values in the misses program.
+#[derive(Debug, Clone, Copy)]
+struct Root {
+    count: u32,
+    distance: DistanceRoots<u32>,
+    /// Every op this component or an earlier one reads lies below this
+    /// index.
+    ops_end: u32,
+}
+
 /// A [`MissModel`] compiled for one list of input symbols; see the
 /// [module docs](self).
 #[derive(Debug, Clone)]
 pub struct Tape {
     inputs: Vec<Sym>,
     misses: Program,
-    /// Per component: its count and distance values in `misses`.
-    components: Vec<(u32, DistanceRoots<u32>)>,
+    /// Per component, in model order.
+    components: Vec<Root>,
     distances: Program,
     /// Every distance endpoint's value in `distances`, in component order.
     distance_roots: Vec<u32>,
@@ -370,12 +381,16 @@ impl Tape {
                 }
             };
             let count = b.op(Op::NonNegative(count));
-            components.push((count, distance));
+            components.push((count, distance, b.ops.len() as u32));
         }
         let (misses, index) = b.finish();
         let components = components
             .into_iter()
-            .map(|(count, d)| (index(count), d.map(&index)))
+            .map(|(count, d, ops_end)| Root {
+                count: index(count),
+                distance: d.map(&index),
+                ops_end,
+            })
             .collect();
 
         let mut b = Builder::new(inputs, fixed);
@@ -410,6 +425,74 @@ impl Tape {
             distances: Vec::new(),
         }
     }
+
+    /// The input symbols, in the order given to [`Tape::compile`].
+    pub fn inputs(&self) -> &[Sym] {
+        &self.inputs
+    }
+
+    /// Ops in the misses program: what one run of it executes.
+    pub fn op_count(&self) -> usize {
+        self.misses.ops.len()
+    }
+
+    /// [`TapeEval::misses`] at each of `cache_sizes`, in that order, from
+    /// one run of the misses program. Fails with the tree walk's error at
+    /// the first size where the tree walk fails.
+    ///
+    /// # Panics
+    ///
+    /// If `inputs` does not hold one value per input symbol.
+    pub fn misses_at(&self, inputs: &[i128], cache_sizes: &[u64]) -> Result<Vec<u64>, ModelError> {
+        let mut totals = vec![0; cache_sizes.len()];
+        self.price(inputs, cache_sizes, &mut Vec::new(), &mut totals)?;
+        Ok(totals)
+    }
+
+    /// Run the misses program at `inputs` in `values`, then set `totals[k]`
+    /// to the total at `cache_sizes[k]`, priced as the tree walk prices
+    /// one size: component by component, summed with a checked add. Where
+    /// an op fails, the tree walk fails at every size after pricing the
+    /// components before the one that reaches the op: with their total's
+    /// overflow if it overflows, else with the op's error.
+    fn price(
+        &self,
+        inputs: &[i128],
+        cache_sizes: &[u64],
+        values: &mut Vec<i128>,
+        totals: &mut [u64],
+    ) -> Result<(), ModelError> {
+        assert_eq!(inputs.len(), self.inputs.len(), "one value per input");
+        let (priced, fault) = match self.misses.run(inputs, values) {
+            Ok(()) => (&self.components[..], None),
+            Err((op, e)) => {
+                let ran = self
+                    .components
+                    .partition_point(|c| c.ops_end as usize <= op);
+                (&self.components[..ran], Some(e))
+            }
+        };
+        let at = |i: u32| values[i as usize] as i64;
+        for (total, &size) in totals.iter_mut().zip(cache_sizes) {
+            *total = 0;
+            for c in priced {
+                let distance = match c.distance {
+                    DistanceRoots::Infinite => DistanceValues::Infinite,
+                    DistanceRoots::Constant(d) => DistanceValues::Constant(at(d)),
+                    DistanceRoots::Varying(lo, hi) => DistanceValues::Varying {
+                        lo: at(lo),
+                        hi: at(hi),
+                    },
+                };
+                let p = predict_from_values(at(c.count), distance, size)?;
+                *total = total.checked_add(p.misses).ok_or_else(overflow)?;
+            }
+            if let Some(e) = fault {
+                return Err(e);
+            }
+        }
+        fault.map_or(Ok(()), Err)
+    }
 }
 
 /// Evaluates one [`Tape`] at input points, reusing its buffers.
@@ -430,23 +513,10 @@ impl TapeEval<'_> {
     ///
     /// If `inputs` does not hold one value per input symbol.
     pub fn misses(&mut self, inputs: &[i128], cache_size: u64) -> Result<u64, ModelError> {
-        assert_eq!(inputs.len(), self.tape.inputs.len(), "one value per input");
-        let v = self.tape.misses.run(inputs, &mut self.values)?;
-        let at = |i: u32| v[i as usize] as i64;
-        let mut total = 0u64;
-        for &(count, distance) in &self.tape.components {
-            let distance = match distance {
-                DistanceRoots::Infinite => DistanceValues::Infinite,
-                DistanceRoots::Constant(d) => DistanceValues::Constant(at(d)),
-                DistanceRoots::Varying(lo, hi) => DistanceValues::Varying {
-                    lo: at(lo),
-                    hi: at(hi),
-                },
-            };
-            let p = predict_from_values(at(count), distance, cache_size)?;
-            total = total.checked_add(p.misses).ok_or_else(overflow)?;
-        }
-        Ok(total)
+        let mut total = [0];
+        self.tape
+            .price(inputs, &[cache_size], &mut self.values, &mut total)?;
+        Ok(total[0])
     }
 
     /// How many distinct stack-distance values (negative ones read as 0)
@@ -462,13 +532,15 @@ impl TapeEval<'_> {
         cache_size: u64,
     ) -> Result<usize, ModelError> {
         assert_eq!(inputs.len(), self.tape.inputs.len(), "one value per input");
-        let v = self.tape.distances.run(inputs, &mut self.values)?;
+        let tape = self.tape;
+        tape.distances
+            .run(inputs, &mut self.values)
+            .map_err(|(_, e)| e)?;
         self.distances.clear();
         self.distances.extend(
-            self.tape
-                .distance_roots
+            tape.distance_roots
                 .iter()
-                .map(|&i| v[i as usize].max(0) as u64)
+                .map(|&i| self.values[i as usize].max(0) as u64)
                 .filter(|d| *d >= cache_size),
         );
         self.distances.sort_unstable();
@@ -555,6 +627,55 @@ mod tests {
                 assert_eq!(eval.distances_above(&t, cache), above);
             }
         }
+    }
+
+    #[test]
+    fn a_total_overflows_before_a_later_component_fails() {
+        use crate::partition::{Component, ComponentKind};
+        use sdlo_ir::{ArrayId, StmtId};
+        let component = |count: Expr| Component {
+            array: ArrayId(0),
+            stmt: StmtId(0),
+            ref_idx: 0,
+            kind: ComponentKind::Compulsory,
+            count,
+            distance: StackDistance::Infinite,
+        };
+        let failing = component(Expr::from(1).ceil_div(&Expr::var("Z")));
+        let b = Bindings::new().with("N", i64::MAX.into()).with("Z", 0);
+        let values = [i64::MAX.into(), 0];
+        // Two maximal counts still fit in a u64 total, three do not: the
+        // tree walk fails on whichever it reaches first, at every size.
+        for (big, want) in [
+            (2, ModelError::Eval(EvalError::DivisionByZero)),
+            (3, overflow()),
+        ] {
+            let mut components = vec![component(Expr::var("N")); big];
+            components.push(failing.clone());
+            let model = MissModel::from_components(components);
+            assert_eq!(model.predict_misses(&b, 1), Err(want.clone()));
+            let tape = Tape::compile(&model, &syms(&["N", "Z"]), &Bindings::new());
+            assert_eq!(tape.evaluator().misses(&values, 1), Err(want.clone()));
+            assert_eq!(tape.misses_at(&values, &[1, 1 << 40]), Err(want));
+        }
+    }
+
+    #[test]
+    fn misses_at_prices_every_size_from_one_run() {
+        let model = MissModel::build(&programs::tiled_matmul());
+        let inputs = syms(&["Ni", "Nj", "Nk", "Ti", "Tj", "Tk"]);
+        let tape = Tape::compile(&model, &inputs, &Bindings::new());
+        let values = [256, 256, 256, 64, 32, 16];
+        let b: Bindings = inputs.iter().cloned().zip(values).collect();
+        let sizes = [64, 2048, 8192];
+        let want: Vec<u64> = sizes
+            .iter()
+            .map(|&c| model.predict_misses(&b, c).unwrap())
+            .collect();
+        assert_eq!(tape.misses_at(&values, &sizes), Ok(want));
+        assert_eq!(tape.misses_at(&values, &[]), Ok(vec![]));
+        assert_eq!(tape.inputs(), &inputs[..]);
+        assert!(tape.op_count() > 0);
     }
 
     #[test]

@@ -1,15 +1,20 @@
-//! Property test: the reactive DAG is *invisible*. After any sequence of
+//! Property test: a revise session is *invisible*. After any sequence of
 //! random deltas — sparse rebindings and cache-size set swaps — a revised
-//! [`ModelDag`] must answer byte-identically to (a) a DAG rebuilt from
-//! scratch at the accumulated bindings and (b) the batch evaluator
-//! [`MissModel::predict_misses`] at every tracked size. The corpus mixes
+//! [`ModelDag`] must answer byte-identically to the batch evaluator
+//! [`MissModel::predict_misses`] at every tracked size, failures included:
+//! a delta `predict_misses` rejects at some size must fail with its error
+//! at the smallest such size and leave the DAG's misses and bindings as
+//! they were, and one it accepts must also equal a DAG rebuilt from
+//! scratch at the accumulated bindings. Values include zero and negative
+//! tiles and overflow-sized bounds, so division by zero, negative counts,
+//! counts past `i64` and totals past `u64` all come up. The corpus mixes
 //! the paper's builtin kernels with programs synthesized by the mini
 //! tensor-contraction engine, so the equivalence is exercised on loop
 //! nests the builtins' shapes never produce.
 
 use proptest::prelude::*;
 use sdlo_core::dag::{DagDelta, ModelDag};
-use sdlo_core::MissModel;
+use sdlo_core::{MissModel, ModelError};
 use sdlo_ir::programs;
 use sdlo_symbolic::{Bindings, Sym};
 use std::sync::OnceLock;
@@ -49,13 +54,15 @@ fn corpus() -> &'static [(Vec<Sym>, MissModel)] {
     })
 }
 
-/// Tile symbols (`T…`) stay at or below the smallest bound value; every
-/// other symbol is a loop bound / extent.
+/// Tile symbols (`T…`) are small, zero or negative; every other symbol is
+/// a loop bound / extent: ordinary, zero, large enough that the totals
+/// leave `u64` or the counts leave `i64`, or large enough that products
+/// leave `i128`. Choice 0 is valid for every symbol.
 fn value_for(sym: &Sym, choice: u8) -> i128 {
     if sym.name().starts_with('T') {
-        [4i128, 8, 16, 32][(choice % 4) as usize]
+        [4i128, 8, 16, 32, 1, 0, -8][(choice % 7) as usize]
     } else {
-        [64i128, 128, 256][(choice % 3) as usize]
+        [64i128, 128, 256, 0, 2_000_000, 1 << 21, 1 << 62][(choice % 7) as usize]
     }
 }
 
@@ -89,31 +96,40 @@ proptest! {
 
         for (rebinds, rebind_count, size_choice) in &deltas {
             let mut delta = DagDelta::default();
+            let mut staged = current.clone();
             for (sym_idx, choice) in &rebinds[..*rebind_count.min(&rebinds.len())] {
                 let s = &syms[sym_idx % syms.len()];
                 let v = value_for(s, *choice);
                 delta.bindings.set(s.name(), v);
-                current.set(s.name(), v);
+                staged.set(s.name(), v);
             }
+            let mut staged_sizes = sizes.clone();
             if (*size_choice as usize) < SIZE_SETS.len() {
-                sizes = SIZE_SETS[*size_choice as usize].to_vec();
-                delta.cache_sizes = Some(sizes.clone());
+                staged_sizes = SIZE_SETS[*size_choice as usize].to_vec();
+                delta.cache_sizes = Some(staged_sizes.clone());
             }
-            let outcome = dag.revise(&delta).unwrap();
+            let before = dag.misses();
 
-            // (a) Byte-identical to a from-scratch DAG at the same state.
-            let fresh = ModelDag::new(model, current.clone(), &sizes).unwrap();
-            prop_assert_eq!(&outcome.misses, &fresh.misses());
-            prop_assert_eq!(dag.misses(), fresh.misses());
+            // The batch evaluator per tracked size, ascending, up to the
+            // first size it fails at.
+            let want: Result<Vec<(u64, u64)>, ModelError> = staged_sizes
+                .iter()
+                .map(|&size| model.predict_misses(&staged, size).map(|m| (size, m)))
+                .collect();
+            let got = dag.revise(&delta).map(|outcome| outcome.misses);
+            prop_assert_eq!(&got, &want, "program {}", program_choice);
 
-            // (b) Byte-identical to the batch evaluator per tracked size.
-            for (size, total) in dag.misses() {
-                prop_assert_eq!(
-                    total,
-                    model.predict_misses(&current, size).unwrap(),
-                    "program {} size {}", program_choice, size
-                );
+            if got.is_ok() {
+                current = staged;
+                sizes = staged_sizes;
+                // Byte-identical to a from-scratch DAG at the same state.
+                let fresh = ModelDag::new(model, current.clone(), &sizes).unwrap();
+                prop_assert_eq!(dag.misses(), fresh.misses());
+            } else {
+                // A failed delta commits nothing.
+                prop_assert_eq!(dag.misses(), before);
             }
+            prop_assert_eq!(dag.bindings(), &current);
         }
     }
 }

@@ -8,10 +8,11 @@
 //!   sequential miss model; the shared-memory access cost is bracketed by
 //!   the paper's two [`LimitModel`]s (bus-bandwidth-limited: total misses;
 //!   infinite bandwidth: maximum per-processor misses).
-//! * [`kernels`] — real multithreaded implementations (rayon) of the tiled
-//!   two-index transform and tiled matrix multiplication, partitioned
-//!   exactly as the analysis assumes, for wall-clock measurement and
-//!   numerical verification.
+//! * [`kernels`] — real multithreaded implementations (scoped threads, one
+//!   contiguous block of outer tiles each) of the tiled two-index
+//!   transform and tiled matrix multiplication, partitioned exactly as the
+//!   analysis assumes, for wall-clock measurement and numerical
+//!   verification.
 
 pub mod kernels;
 mod smp;

@@ -39,7 +39,7 @@ pub mod ring;
 use ring::Ring;
 use sdlo_service::api::{self, ApiError, ErrorKind, RoutingKey};
 use sdlo_service::client::Client;
-use sdlo_service::metrics::{Kind, Metrics};
+use sdlo_service::metrics::Metrics;
 use sdlo_trace::flight::{FlightRecord, FlightRecorder};
 use sdlo_trace::AttrValue;
 use sdlo_wire::Value;
@@ -569,7 +569,7 @@ fn handle_client(shared: &Shared, stream: TcpStream) {
             .and_then(|v| v.get("op"))
             .and_then(Value::as_str)
             .unwrap_or("");
-        let kind = Kind::from_op(op);
+        let op_stats = shared.metrics.op(sdlo_service::ops::find(op).0);
         // Adopt the client's trace context when it sent one; otherwise the
         // router is the trace root and mints the fleet-wide id itself (only
         // when a collector is installed — untraced routers stay silent).
@@ -598,9 +598,7 @@ fn handle_client(shared: &Shared, stream: TcpStream) {
                 == Some(true)
         {
             let text = shared.prometheus();
-            shared
-                .metrics
-                .record(kind, started.elapsed().as_micros() as u64, true);
+            op_stats.record(started.elapsed().as_micros() as u64, true);
             let _ = writer.write_all(text.as_bytes());
             let _ = writer.flush();
             break;
@@ -656,7 +654,7 @@ fn handle_client(shared: &Shared, stream: TcpStream) {
         span.attr("failovers", u64::from(fwd.failovers));
         span.attr("retries", u64::from(fwd.retries));
         let total_micros = started.elapsed().as_micros() as u64;
-        shared.metrics.record(kind, total_micros, ok);
+        op_stats.record(total_micros, ok);
         let root_span = span.id();
         drop(span);
         let status = if ok {

@@ -16,7 +16,7 @@
 //! * `{"op":"advise","program":…,"bindings":{…},"cache":8192,"space":{…}}`
 //!   — optimal tile sizes; `"mode":"exhaustive"` for the unpruned baseline,
 //!   `"bounds_free":{…}` for the §6 bounds-oblivious search.
-//! * `{"op":"batch","requests":[…]}` — sub-requests evaluated in parallel.
+//! * `{"op":"batch","requests":[…]}` — sub-requests served in order.
 //! * `{"op":"lint","program":…}` — static diagnostics (`sdlo-analysis`):
 //!   model-assumption violations and locality anti-patterns, each with a
 //!   rule id, severity, span and optional fix-it. Inline programs that fail
@@ -52,7 +52,9 @@
 use crate::api::{self, fail, ApiError, Envelope, ErrorKind, ProgramSpec, RoutingKey};
 use crate::cache::ShardedCache;
 use crate::diskcache::{DiskCache, DiskOutcome};
-use crate::metrics::{Kind, Metrics};
+use crate::metrics::Metrics;
+use crate::ops::revise::Session;
+use crate::ops::ServiceOp;
 use sdlo_core::model::MissModel;
 use sdlo_ir::canon::{canonicalize, Canonical};
 use sdlo_ir::programs::{builtin, BUILTIN_NAMES as BUILTINS};
@@ -63,7 +65,7 @@ use sdlo_trace::flight::{FlightRecord, FlightRecorder};
 use sdlo_trace::AttrValue;
 use sdlo_wire::Value;
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Engine limits and cache sizing.
@@ -93,11 +95,6 @@ pub struct EngineConfig {
     /// Requests slower than this total (µs) get their span tree captured by
     /// the flight recorder. 0 disables slow captures.
     pub slow_threshold_micros: u64,
-    /// Live `revise` sessions (reactive model DAGs) held at once; the
-    /// least-recently-revised session is evicted past this. An evicted base
-    /// is not an error — the next `revise` against it falls back to a full
-    /// DAG build.
-    pub revise_sessions: usize,
 }
 
 impl Default for EngineConfig {
@@ -112,84 +109,27 @@ impl Default for EngineConfig {
             cache_dir: None,
             flight_capacity: 256,
             slow_threshold_micros: 100_000,
-            revise_sessions: 32,
         }
     }
 }
 
-/// The engine's live `revise` sessions: canonical shape hash → reactive
-/// [`ModelDag`](sdlo_core::ModelDag), LRU-bounded. Sessions are mutated in
-/// place under one lock — a `revise` delta is exactly the cheap path the
-/// DAG exists for, so the critical section is short; cold DAG builds happen
-/// *outside* the lock and are inserted afterwards.
-pub(crate) struct ReviseSessions {
-    capacity: usize,
-    tick: u64,
-    entries: Vec<ReviseEntry>,
-}
-
-struct ReviseEntry {
-    hash: u64,
-    dag: sdlo_core::ModelDag,
-    last_used: u64,
-}
-
-impl ReviseSessions {
-    fn new(capacity: usize) -> Self {
-        ReviseSessions {
-            capacity: capacity.max(1),
-            tick: 0,
-            entries: Vec::new(),
-        }
-    }
-
-    /// The live DAG for `hash`, touched for LRU, if any.
-    pub(crate) fn dag_mut(&mut self, hash: u64) -> Option<&mut sdlo_core::ModelDag> {
-        self.tick += 1;
-        let tick = self.tick;
-        self.entries.iter_mut().find(|e| e.hash == hash).map(|e| {
-            e.last_used = tick;
-            &mut e.dag
-        })
-    }
-
-    /// Install (or replace) the session for `hash`, evicting the
-    /// least-recently-revised session at capacity.
-    pub(crate) fn insert(&mut self, hash: u64, dag: sdlo_core::ModelDag) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.hash == hash) {
-            e.dag = dag;
-            e.last_used = tick;
-            return;
-        }
-        if self.entries.len() >= self.capacity {
-            let lru = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-                .expect("non-empty sessions");
-            self.entries.swap_remove(lru);
-        }
-        self.entries.push(ReviseEntry {
-            hash,
-            dag,
-            last_used: tick,
-        });
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
-/// A cached analysis: the canonicalization (for name translation) plus the
-/// built model.
+/// A cached analysis: the canonicalization (for name translation), the
+/// built model, and the shape's `revise` session once a `revise` has
+/// established one. The session lives exactly as long as the entry.
 pub struct CachedModel {
     pub canonical: Arc<Canonical>,
     pub model: MissModel,
+    pub(crate) session: Mutex<Option<Session>>,
+}
+
+impl CachedModel {
+    fn new(canonical: Arc<Canonical>, model: MissModel) -> Self {
+        CachedModel {
+            canonical,
+            model,
+            session: Mutex::new(None),
+        }
+    }
 }
 
 /// A request's program together with its canonicalization. Builtin names
@@ -212,8 +152,6 @@ pub struct Engine {
     pub(crate) metrics: Arc<Metrics>,
     /// Always-on ring of recent requests + slow-request span captures.
     pub(crate) flight: Arc<FlightRecorder>,
-    /// Live `revise` sessions (reactive model DAGs), LRU-bounded.
-    pub(crate) revise: std::sync::Mutex<ReviseSessions>,
     /// Monotone source for server-generated request ids.
     req_seq: std::sync::atomic::AtomicU64,
 }
@@ -258,14 +196,12 @@ impl Engine {
             config.flight_capacity,
             config.slow_threshold_micros,
         ));
-        let revise = std::sync::Mutex::new(ReviseSessions::new(config.revise_sessions));
         Engine {
             config,
             cache,
             disk,
             metrics: Arc::new(Metrics::default()),
             flight,
-            revise,
             req_seq: std::sync::atomic::AtomicU64::new(1),
         }
     }
@@ -334,7 +270,8 @@ impl Engine {
     pub fn handle_timed(&self, request: &Value, queue_micros: u64) -> (Value, RequestMeta) {
         let started = Instant::now();
         let envelope = api::parse_envelope(request);
-        let kind = Kind::from_op(&envelope.op);
+        let (slot, op) = crate::ops::find(&envelope.op);
+        let op_stats = self.metrics.op(slot);
         let request_id = envelope
             .request_id
             .clone()
@@ -347,11 +284,11 @@ impl Engine {
             span.attr("trace_id", trace.trace_id.as_str());
         }
         let root_span = span.id();
-        let in_flight = InFlight::enter(&self.metrics.kind(kind).in_flight);
-        let outcome = self.dispatch(request, &envelope, started);
+        let in_flight = InFlight::enter(&op_stats.in_flight);
+        let outcome = self.dispatch(op, request, &envelope, started);
         drop(in_flight);
         let micros = started.elapsed().as_micros() as u64;
-        self.metrics.record(kind, micros, outcome.is_ok());
+        op_stats.record(micros, outcome.is_ok());
         self.metrics.exec.observe_micros(micros);
         drop(span);
         let status = match &outcome {
@@ -410,12 +347,18 @@ impl Engine {
         )
     }
 
-    /// Gate the version, resolve the op against the registry, serve it.
-    /// The two failure modes that belong to no op — unsupported version and
+    /// Gate the version, then serve the op the registry resolved. The two
+    /// failure modes that belong to no op — unsupported version and
     /// unknown/missing `op` — are produced here, never in an op module.
-    fn dispatch(&self, request: &Value, envelope: &Envelope, started: Instant) -> OpResult {
+    fn dispatch(
+        &self,
+        op: Option<&dyn ServiceOp>,
+        request: &Value,
+        envelope: &Envelope,
+        started: Instant,
+    ) -> OpResult {
         api::check_version(envelope)?;
-        let Some(op) = crate::ops::find(&envelope.op) else {
+        let Some(op) = op else {
             return Err(if envelope.op.is_empty() {
                 fail(ErrorKind::Unsupported, "missing `op` field")
             } else {
@@ -464,11 +407,7 @@ impl Engine {
         let canonical = &resolved.canonical;
         let hash = canonical.hash;
         let (cached, hit) = self.cache.get_or_build(hash, &canonical.program, || {
-            let model = self.load_or_build(hash, canonical);
-            CachedModel {
-                canonical: Arc::clone(canonical),
-                model,
-            }
+            CachedModel::new(Arc::clone(canonical), self.load_or_build(hash, canonical))
         });
         let counter = if hit {
             &self.metrics.cache_hits
@@ -496,12 +435,9 @@ impl Engine {
         // `load_by_hash`); re-canonicalizing just rebuilds the `Canonical`
         // wrapper the cache entry wants.
         let canonical = Arc::new(canonicalize(&program));
-        let (cached, _) = self
-            .cache
-            .get_or_build(hash, &canonical.program, || CachedModel {
-                canonical: Arc::clone(&canonical),
-                model,
-            });
+        let (cached, _) = self.cache.get_or_build(hash, &canonical.program, || {
+            CachedModel::new(Arc::clone(&canonical), model)
+        });
         Some(cached)
     }
 
@@ -986,6 +922,63 @@ mod tests {
                 .as_u64(),
             Some(0)
         );
+    }
+
+    #[test]
+    fn evicting_a_model_drops_its_revise_session() {
+        let e = Engine::new(EngineConfig {
+            cache_shards: 1,
+            cache_capacity: 1,
+            ..EngineConfig::default()
+        });
+        let sessions = |e: &Engine| {
+            let stats = parse(&e.handle_line(r#"{"op":"stats"}"#));
+            stats
+                .path(&["stats", "revise", "sessions"])
+                .unwrap()
+                .as_u64()
+        };
+        let program = builtin("tiled_matmul").unwrap();
+        let base = format!("{:016x}", canonicalize(&program).hash);
+        let establish = format!(
+            r#"{{"op":"revise","base":"{base}","program":"tiled_matmul","delta":{{"bindings":{{"Ni":64,"Nj":64,"Nk":64,"Ti":8,"Tj":8,"Tk":8}},"cache_sizes":[512]}}}}"#
+        );
+        let retile =
+            format!(r#"{{"op":"revise","base":"{base}","delta":{{"bindings":{{"Ti":16}}}}}}"#);
+
+        let cold = parse(&e.handle_line(&establish));
+        assert_eq!(
+            cold.get("revised").unwrap().as_bool(),
+            Some(false),
+            "{cold:?}"
+        );
+        assert_eq!(sessions(&e), Some(1));
+        let warm = parse(&e.handle_line(&retile));
+        assert_eq!(
+            warm.get("revised").unwrap().as_bool(),
+            Some(true),
+            "{warm:?}"
+        );
+
+        // Another shape takes the only cache slot, and the session goes
+        // with the evicted model.
+        e.handle_line(
+            r#"{"op":"predict","program":"matmul","bindings":{"Ni":8,"Nj":8,"Nk":8},"cache":64}"#,
+        );
+        assert_eq!(sessions(&e), Some(0));
+        let unknown = parse(&e.handle_line(&retile));
+        assert_eq!(
+            unknown.path(&["error", "kind"]).unwrap().as_str(),
+            Some("schema"),
+            "{unknown:?}"
+        );
+        let again = parse(&e.handle_line(&establish));
+        assert_eq!(again.get("revised").unwrap().as_bool(), Some(false));
+        assert_eq!(
+            again.path(&["revise", "sessions"]).unwrap().as_u64(),
+            Some(1)
+        );
+        assert_eq!(sessions(&e), Some(1));
     }
 
     use std::collections::BTreeSet;

@@ -43,5 +43,5 @@ pub use api::{ApiError, ErrorKind, RoutingKey, PROTOCOL_VERSION};
 pub use client::{is_overloaded, Client, RetryPolicy};
 pub use diskcache::{DiskCache, DiskOutcome};
 pub use engine::{Engine, EngineConfig};
-pub use metrics::{Kind, Metrics};
+pub use metrics::Metrics;
 pub use server::{serve, ServerConfig, ServerHandle};

@@ -1,4 +1,4 @@
-//! Lock-free service observability: per-request-kind counters, log₂ latency
+//! Lock-free service observability: per-op counters, log₂ latency
 //! histograms, cache hit rates and queue depth, all plain atomics so the hot
 //! path never blocks on a metrics lock.
 //!
@@ -11,70 +11,6 @@
 use sdlo_wire::Value;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Request kinds tracked separately. `Other` covers unknown ops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kind {
-    Analyze,
-    Predict,
-    Advise,
-    Batch,
-    Lint,
-    Stats,
-    Metrics,
-    Debug,
-    Revise,
-    Sleep,
-    Other,
-}
-
-impl Kind {
-    pub const ALL: [Kind; 11] = [
-        Kind::Analyze,
-        Kind::Predict,
-        Kind::Advise,
-        Kind::Batch,
-        Kind::Lint,
-        Kind::Stats,
-        Kind::Metrics,
-        Kind::Debug,
-        Kind::Revise,
-        Kind::Sleep,
-        Kind::Other,
-    ];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Kind::Analyze => "analyze",
-            Kind::Predict => "predict",
-            Kind::Advise => "advise",
-            Kind::Batch => "batch",
-            Kind::Lint => "lint",
-            Kind::Stats => "stats",
-            Kind::Metrics => "metrics",
-            Kind::Debug => "debug",
-            Kind::Revise => "revise",
-            Kind::Sleep => "sleep",
-            Kind::Other => "other",
-        }
-    }
-
-    pub fn from_op(op: &str) -> Kind {
-        match op {
-            "analyze" => Kind::Analyze,
-            "predict" => Kind::Predict,
-            "advise" => Kind::Advise,
-            "batch" => Kind::Batch,
-            "lint" => Kind::Lint,
-            "stats" => Kind::Stats,
-            "metrics" => Kind::Metrics,
-            "debug" => Kind::Debug,
-            "revise" => Kind::Revise,
-            "sleep" => Kind::Sleep,
-            _ => Kind::Other,
-        }
-    }
-}
 
 const BUCKETS: usize = 32;
 
@@ -152,20 +88,33 @@ impl Histogram {
     }
 }
 
+/// One op's request counters.
 #[derive(Debug, Default)]
-pub struct KindStats {
+pub struct OpStats {
     pub requests: AtomicU64,
     pub errors: AtomicU64,
-    /// Requests of this kind currently being handled (gauge).
+    /// Requests of this op currently being handled (gauge).
     pub in_flight: AtomicU64,
     pub latency: Histogram,
+}
+
+impl OpStats {
+    pub fn record(&self, micros: u64, ok: bool) {
+        self.requests.fetch_add(1, Ordering::Relaxed);
+        if !ok {
+            self.errors.fetch_add(1, Ordering::Relaxed);
+        }
+        self.latency.observe_micros(micros);
+    }
 }
 
 /// All service counters. Shared as `Arc<Metrics>` between the engine, the
 /// server and tests.
 #[derive(Debug)]
 pub struct Metrics {
-    per_kind: [KindStats; Kind::ALL.len()],
+    /// Per-op counters, one per [`crate::ops::slot_names`] entry and
+    /// indexed by the slot [`crate::ops::find`] resolves.
+    per_op: Box<[OpStats]>,
     /// Memoized model served from the canonical-shape cache.
     pub cache_hits: AtomicU64,
     /// Model had to be built (partitioning + symbolic analysis ran).
@@ -210,18 +159,19 @@ pub struct Metrics {
     pub lint_diag_warnings: AtomicU64,
     /// `info`-severity diagnostics returned by `lint` requests.
     pub lint_diag_infos: AtomicU64,
-    /// `revise` requests whose base canon hash had no live DAG session
+    /// `revise` requests whose base canon hash had no live session
     /// (answered by falling back toward a full build).
     pub revise_base_misses: AtomicU64,
-    /// `revise` requests that built a model DAG from scratch (cold start
-    /// or evicted session).
+    /// `revise` requests that built a session from scratch (cold start or
+    /// evicted model).
     pub revise_full_builds: AtomicU64,
-    /// Dirty expression nodes re-evaluated across all `revise` deltas.
+    /// Tape ops run across all `revise` deltas: all of a session's ops for
+    /// a delta that changes something, none for one that does not.
     pub revise_nodes_reevaluated: AtomicU64,
-    /// Expression nodes proven clean (fingerprint or dependency check) and
-    /// reused across all `revise` deltas.
+    /// Tape ops `revise` deltas did not need to run.
     pub revise_nodes_reused: AtomicU64,
-    /// Live DAG sessions held by the engine (gauge).
+    /// Live `revise` sessions (gauge): raised when a session is
+    /// established, lowered when it is dropped with its model-cache entry.
     pub revise_sessions: AtomicU64,
     /// Per-phase attribution, all ops pooled: microseconds a request spent
     /// queued before a worker picked it up.
@@ -238,7 +188,9 @@ pub struct Metrics {
 impl Default for Metrics {
     fn default() -> Self {
         Metrics {
-            per_kind: Default::default(),
+            per_op: crate::ops::slot_names()
+                .map(|_| OpStats::default())
+                .collect(),
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             models_built: AtomicU64::new(0),
@@ -271,17 +223,14 @@ impl Default for Metrics {
 }
 
 impl Metrics {
-    pub fn kind(&self, k: Kind) -> &KindStats {
-        &self.per_kind[Kind::ALL.iter().position(|x| *x == k).expect("kind listed")]
+    /// The counters of the op in `slot` (from [`crate::ops::find`]).
+    pub fn op(&self, slot: usize) -> &OpStats {
+        &self.per_op[slot]
     }
 
-    pub fn record(&self, k: Kind, micros: u64, ok: bool) {
-        let s = self.kind(k);
-        s.requests.fetch_add(1, Ordering::Relaxed);
-        if !ok {
-            s.errors.fetch_add(1, Ordering::Relaxed);
-        }
-        s.latency.observe_micros(micros);
+    /// Every slot's name and counters, in slot order.
+    pub fn ops(&self) -> impl Iterator<Item = (&'static str, &OpStats)> {
+        crate::ops::slot_names().zip(self.per_op.iter())
     }
 
     /// Seconds since this `Metrics` (≈ the service) was created.
@@ -292,12 +241,11 @@ impl Metrics {
     /// Everything as one JSON object (the `stats` response body).
     pub fn snapshot(&self) -> Value {
         let load = |a: &AtomicU64| Value::from(a.load(Ordering::Relaxed));
-        let requests = Kind::ALL
-            .iter()
-            .map(|k| {
-                let s = self.kind(*k);
+        let requests = self
+            .ops()
+            .map(|(name, s)| {
                 (
-                    k.name().to_string(),
+                    name.to_string(),
                     Value::obj(vec![
                         ("requests", load(&s.requests)),
                         ("errors", load(&s.errors)),
@@ -372,35 +320,22 @@ impl Metrics {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
 
         out.push_str("# TYPE sdlo_requests_total counter\n");
-        for k in Kind::ALL {
-            let _ = writeln!(
-                out,
-                "sdlo_requests_total{{op=\"{}\"}} {}",
-                k.name(),
-                load(&self.kind(k).requests)
-            );
+        for (name, s) in self.ops() {
+            let requests = load(&s.requests);
+            let _ = writeln!(out, "sdlo_requests_total{{op=\"{name}\"}} {requests}");
         }
         out.push_str("# TYPE sdlo_request_errors_total counter\n");
-        for k in Kind::ALL {
-            let _ = writeln!(
-                out,
-                "sdlo_request_errors_total{{op=\"{}\"}} {}",
-                k.name(),
-                load(&self.kind(k).errors)
-            );
+        for (name, s) in self.ops() {
+            let errors = load(&s.errors);
+            let _ = writeln!(out, "sdlo_request_errors_total{{op=\"{name}\"}} {errors}");
         }
         out.push_str("# TYPE sdlo_inflight gauge\n");
-        for k in Kind::ALL {
-            let _ = writeln!(
-                out,
-                "sdlo_inflight{{op=\"{}\"}} {}",
-                k.name(),
-                load(&self.kind(k).in_flight)
-            );
+        for (name, s) in self.ops() {
+            let _ = writeln!(out, "sdlo_inflight{{op=\"{name}\"}} {}", load(&s.in_flight));
         }
         out.push_str("# TYPE sdlo_request_latency_micros histogram\n");
-        for k in Kind::ALL {
-            let h = &self.kind(k).latency;
+        for (name, s) in self.ops() {
+            let h = &s.latency;
             let counts = h.counts();
             let mut cum = 0u64;
             for (i, c) in counts.iter().enumerate() {
@@ -408,29 +343,22 @@ impl Metrics {
                 if *c > 0 || i + 1 == BUCKETS {
                     let _ = writeln!(
                         out,
-                        "sdlo_request_latency_micros_bucket{{op=\"{}\",le=\"{}\"}} {}",
-                        k.name(),
+                        "sdlo_request_latency_micros_bucket{{op=\"{name}\",le=\"{}\"}} {cum}",
                         1u64 << (i + 1).min(63),
-                        cum
                     );
                 }
             }
             let _ = writeln!(
                 out,
-                "sdlo_request_latency_micros_bucket{{op=\"{}\",le=\"+Inf\"}} {}",
-                k.name(),
-                cum
+                "sdlo_request_latency_micros_bucket{{op=\"{name}\",le=\"+Inf\"}} {cum}"
             );
             let _ = writeln!(
                 out,
-                "sdlo_request_latency_micros_count{{op=\"{}\"}} {}",
-                k.name(),
-                cum
+                "sdlo_request_latency_micros_count{{op=\"{name}\"}} {cum}"
             );
             let _ = writeln!(
                 out,
-                "sdlo_request_latency_micros_sum{{op=\"{}\"}} {}",
-                k.name(),
+                "sdlo_request_latency_micros_sum{{op=\"{name}\"}} {}",
                 h.sum_micros.load(Ordering::Relaxed)
             );
         }
@@ -608,18 +536,37 @@ mod tests {
         assert_eq!(Histogram::quantile_micros(&counts, 1.0), 1024);
     }
 
+    /// The counters of the op named `name`.
+    fn op<'m>(m: &'m Metrics, name: &str) -> &'m OpStats {
+        m.op(crate::ops::find(name).0)
+    }
+
     #[test]
     fn record_tracks_errors_per_kind() {
         let m = Metrics::default();
-        m.record(Kind::Predict, 10, true);
-        m.record(Kind::Predict, 20, false);
-        m.record(Kind::Analyze, 5, true);
-        assert_eq!(m.kind(Kind::Predict).requests.load(Ordering::Relaxed), 2);
-        assert_eq!(m.kind(Kind::Predict).errors.load(Ordering::Relaxed), 1);
-        assert_eq!(m.kind(Kind::Analyze).errors.load(Ordering::Relaxed), 0);
+        op(&m, "predict").record(10, true);
+        op(&m, "predict").record(20, false);
+        op(&m, "analyze").record(5, true);
+        op(&m, "frobnicate").record(1, false);
+        assert_eq!(op(&m, "predict").requests.load(Ordering::Relaxed), 2);
+        assert_eq!(op(&m, "predict").errors.load(Ordering::Relaxed), 1);
+        assert_eq!(op(&m, "analyze").errors.load(Ordering::Relaxed), 0);
         let snap = m.snapshot();
         let predict = snap.get("requests").unwrap().get("predict").unwrap();
         assert_eq!(predict.get("requests").unwrap().as_u64(), Some(2));
+        // One series per registered op, in registry order, then `other`,
+        // where an unknown op lands.
+        let requests = snap.get("requests").unwrap().as_object().unwrap();
+        let names: Vec<&str> = requests.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "analyze", "predict", "advise", "batch", "lint", "stats", "metrics", "debug",
+                "revise", "sleep", "other"
+            ]
+        );
+        let other = snap.path(&["requests", "other", "errors"]).unwrap();
+        assert_eq!(other.as_u64(), Some(1));
         assert_eq!(
             snap.get("version").unwrap().as_str(),
             Some(env!("CARGO_PKG_VERSION"))
@@ -637,8 +584,8 @@ mod tests {
     #[test]
     fn prometheus_text_matches_counters() {
         let m = Metrics::default();
-        m.record(Kind::Predict, 10, true);
-        m.record(Kind::Predict, 20, false);
+        op(&m, "predict").record(10, true);
+        op(&m, "predict").record(20, false);
         m.cache_hits.fetch_add(3, Ordering::Relaxed);
         let text = m.prometheus(7);
         assert!(text.contains("sdlo_requests_total{op=\"predict\"} 2"));
@@ -685,8 +632,8 @@ mod tests {
     #[test]
     fn prometheus_histogram_buckets_are_cumulative() {
         let m = Metrics::default();
-        m.record(Kind::Analyze, 3, true); // bucket bound 4
-        m.record(Kind::Analyze, 1000, true); // bucket bound 1024
+        op(&m, "analyze").record(3, true); // bucket bound 4
+        op(&m, "analyze").record(1000, true); // bucket bound 1024
         let text = m.prometheus(0);
         assert!(text.contains("sdlo_request_latency_micros_bucket{op=\"analyze\",le=\"4\"} 1"));
         assert!(text.contains("sdlo_request_latency_micros_bucket{op=\"analyze\",le=\"1024\"} 2"));

@@ -4,14 +4,15 @@
 //! the raw document, validate, execute against the [`Engine`], and return
 //! the reply body fields (the envelope itself is owned by
 //! [`crate::api::reply`] / [`crate::api::error_reply`]). The [`REGISTRY`]
-//! table drives both the engine's dispatch and the `stats.ops`
-//! advertisement, so adding an op is: write the module, add one registry
-//! line. The version gate and the unknown-op error stay centralized in the
-//! engine, **before** the registry lookup, so clients can probe versions
-//! safely.
+//! table drives the engine's dispatch, the `stats.ops` advertisement and
+//! the per-op metrics slots, so adding an op is: write the module, add one
+//! registry line. The version gate and the unknown-op error stay
+//! centralized in the engine, **before** the registry lookup, so clients
+//! can probe versions safely.
 //!
-//! Registration order is wire-visible: [`advertised`] preserves it, and the
-//! `stats.ops` golden test pins it.
+//! Registration order is wire-visible: [`advertised`] and [`slot_names`]
+//! preserve it, the `stats.ops` golden test pins it, and it orders the
+//! per-op series of `stats.requests` and the Prometheus exposition.
 
 pub mod advise;
 pub mod analyze;
@@ -70,9 +71,19 @@ static REGISTRY: &[&dyn ServiceOp] = &[
     &sleep::SleepOp,
 ];
 
-/// Resolve an op name against the registry.
-pub fn find(name: &str) -> Option<&'static dyn ServiceOp> {
-    REGISTRY.iter().copied().find(|op| op.name() == name)
+/// Resolve an op name against the registry: its metrics slot (see
+/// [`slot_names`]) and the op, if one has that name.
+pub fn find(name: &str) -> (usize, Option<&'static dyn ServiceOp>) {
+    match REGISTRY.iter().position(|op| op.name() == name) {
+        Some(slot) => (slot, Some(REGISTRY[slot])),
+        None => (REGISTRY.len(), None),
+    }
+}
+
+/// The names of the per-op metrics slots: every op, advertised or not, in
+/// registration order, then `other` for names no op has.
+pub fn slot_names() -> impl Iterator<Item = &'static str> {
+    REGISTRY.iter().map(|op| op.name()).chain(["other"])
 }
 
 /// The advertised op names in registration order (the `stats.ops` list).
@@ -109,8 +120,13 @@ mod tests {
             ],
         );
         // Unadvertised ops still dispatch.
-        assert!(find("sleep").is_some());
-        assert!(!find("sleep").unwrap().advertised());
+        assert!(!find("sleep").1.unwrap().advertised());
+        // Metrics slots follow the registry, with unknown names last.
+        let slots: Vec<&str> = slot_names().collect();
+        assert_eq!(slots.len(), REGISTRY.len() + 1);
+        assert_eq!(slots[find("revise").0], "revise");
+        assert_eq!(slots[find("frobnicate").0], "other");
+        assert!(find("frobnicate").1.is_none());
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), REGISTRY.len(), "duplicate op name");

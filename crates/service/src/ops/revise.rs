@@ -1,35 +1,64 @@
-//! `revise` — incremental re-evaluation of a live model DAG.
+//! `revise` — incremental re-evaluation of a live model.
 //!
 //! A client that sweeps tile sizes (or cache capacities) over one program
-//! shape should not pay a full model evaluation per point. `revise` keeps a
-//! per-shape [`sdlo_core::ModelDag`] session on the engine, keyed by the
-//! canonical shape hash (`base`), and applies a structured delta — new
-//! symbol bindings and/or a new tracked cache-size set — re-evaluating only
-//! the expression nodes whose input fingerprints actually moved.
+//! shape should not pay a model build per point. `revise` keeps a
+//! [`sdlo_core::ModelDag`] session in the shape's model-cache entry, named
+//! by the canonical shape hash (`base`), and applies a structured delta —
+//! new symbol bindings and/or a new tracked cache-size set — by running the
+//! session's compiled tape once, or not at all when nothing changed.
 //!
 //! ## Session lifecycle
 //!
-//! * **Warm** (`revised: true`): the base names a live DAG; the delta is
-//!   applied transactionally in place. An evaluation error (e.g. a binding
-//!   driving a distance negative) leaves the session untouched.
-//! * **Cold** (`revised: false`): no live DAG. The model is recovered from
+//! * **Warm** (`revised: true`): the base's model is cached in memory and
+//!   holds a session; the delta is applied transactionally in place, under
+//!   the entry's lock. An evaluation error (e.g. a binding driving a count
+//!   negative) leaves the session untouched.
+//! * **Cold** (`revised: false`): no session. The model is recovered from
 //!   the request's optional `program` (which must canonicalize to `base`),
 //!   the in-memory model cache, or the disk tier — in that order — and a
-//!   fresh DAG is built from the delta, which must then carry
-//!   `cache_sizes` and bindings for every free symbol. Sessions are
-//!   LRU-bounded ([`crate::EngineConfig::revise_sessions`]); eviction just
-//!   means the next revise against that base is cold again.
+//!   fresh session is built from the delta, which must then carry
+//!   `cache_sizes` and bindings for every free symbol. A session lives
+//!   exactly as long as its model stays cached; once the model is evicted,
+//!   the next revise against that base is cold again.
 //!
-//! The answers are byte-identical to `predict` over the same points — the
-//! DAG shares the §5 miss formula with the batch path — so `revise` is
-//! purely a latency/throughput optimization, never a different model.
+//! The answers are byte-identical to `predict` over the same points, errors
+//! included — the tape runs the tree walk's checked arithmetic — so
+//! `revise` is purely a latency/throughput optimization, never a different
+//! model.
 
 use crate::api::{self, schema, ApiError, ErrorKind, ProgramSpec};
 use crate::engine::{Engine, OpResult};
+use crate::metrics::Metrics;
 use crate::ops::{OpCtx, ServiceOp};
 use sdlo_core::dag::{DagDelta, ModelDag};
+use sdlo_core::ModelError;
 use sdlo_wire::Value;
 use std::sync::atomic::Ordering::Relaxed;
+use std::sync::Arc;
+
+/// A shape's live `revise` state, kept in its model-cache entry. The
+/// `revise.sessions` gauge counts it from [`Session::new`] to its drop,
+/// which follows the entry's eviction once no request still holds it.
+pub(crate) struct Session {
+    dag: ModelDag,
+    metrics: Arc<Metrics>,
+}
+
+impl Session {
+    fn new(dag: ModelDag, metrics: &Arc<Metrics>) -> Self {
+        metrics.revise_sessions.fetch_add(1, Relaxed);
+        Session {
+            dag,
+            metrics: Arc::clone(metrics),
+        }
+    }
+}
+
+impl Drop for Session {
+    fn drop(&mut self) {
+        self.metrics.revise_sessions.fetch_sub(1, Relaxed);
+    }
+}
 
 #[derive(Debug)]
 struct Revise {
@@ -75,10 +104,10 @@ fn body(
     base: u64,
     revised: bool,
     misses: &[(u64, u64)],
-    sessions: usize,
+    sessions: u64,
     reevaluated: u64,
     reused: u64,
-    exprs: usize,
+    ops: usize,
 ) -> Vec<(&'static str, Value)> {
     vec![
         ("revised", Value::from(revised)),
@@ -95,10 +124,10 @@ fn body(
         (
             "revise",
             Value::obj(vec![
-                ("sessions", Value::from(sessions as u64)),
+                ("sessions", Value::from(sessions)),
                 ("nodes_reevaluated", Value::from(reevaluated)),
                 ("nodes_reused", Value::from(reused)),
-                ("exprs", Value::from(exprs as u64)),
+                ("exprs", Value::from(ops as u64)),
             ]),
         ),
     ]
@@ -114,18 +143,14 @@ impl ServiceOp for ReviseOp {
     fn serve(&self, engine: &Engine, ctx: &OpCtx<'_>) -> OpResult {
         let request = parse(ctx.request)?;
         let metrics = &engine.metrics;
+        let eval = |e: ModelError| api::fail(ErrorKind::Eval, e.to_string());
 
-        // Warm path: the base names a live DAG. The delta applies in place
-        // under the session lock — this is exactly the cheap operation the
-        // DAG exists for, so holding the lock across it is fine.
-        {
-            let mut sessions = engine.revise.lock().unwrap();
-            if let Some(dag) = sessions.dag_mut(request.base) {
-                let outcome = dag
-                    .revise(&request.delta)
-                    .map_err(|e| api::fail(ErrorKind::Eval, e.to_string()))?;
-                let exprs = dag.expr_count();
-                let live = sessions.len();
+        // Warm path: the base's model is cached in memory and holds a
+        // session. The delta applies in place under the entry's lock, which
+        // only revises of the same shape contend for.
+        if let Some(cached) = engine.cache.get_by_hash(request.base) {
+            if let Some(session) = cached.session.lock().unwrap().as_mut() {
+                let outcome = session.dag.revise(&request.delta).map_err(eval)?;
                 metrics
                     .revise_nodes_reevaluated
                     .fetch_add(outcome.nodes_reevaluated, Relaxed);
@@ -136,16 +161,16 @@ impl ServiceOp for ReviseOp {
                     request.base,
                     true,
                     &outcome.misses,
-                    live,
+                    metrics.revise_sessions.load(Relaxed),
                     outcome.nodes_reevaluated,
                     outcome.nodes_reused,
-                    exprs,
+                    session.dag.op_count(),
                 ));
             }
         }
 
-        // Cold path: recover the model, build a fresh DAG outside the
-        // session lock, then install it.
+        // Cold path: recover the model, build a fresh session outside the
+        // entry's lock, then install it there.
         metrics.revise_base_misses.fetch_add(1, Relaxed);
         let cached = if let Some(spec) = request.program {
             let resolved = engine.resolve_spec(spec)?;
@@ -172,19 +197,21 @@ impl ServiceOp for ReviseOp {
         engine.require_bound(&cached.canonical.program, &request.delta.bindings, &[])?;
         let dag = {
             let _span = sdlo_trace::span(sdlo_trace::names::REVISE_FULL_BUILD);
-            ModelDag::new(&cached.model, request.delta.bindings.clone(), &sizes)
-                .map_err(|e| api::fail(ErrorKind::Eval, e.to_string()))?
+            ModelDag::new(&cached.model, request.delta.bindings.clone(), &sizes).map_err(eval)?
         };
         metrics.revise_full_builds.fetch_add(1, Relaxed);
         let misses = dag.misses();
-        let exprs = dag.expr_count();
-        let live = {
-            let mut sessions = engine.revise.lock().unwrap();
-            sessions.insert(request.base, dag);
-            sessions.len()
-        };
-        metrics.revise_sessions.store(live as u64, Relaxed);
-        Ok(body(request.base, false, &misses, live, 0, 0, exprs))
+        let ops = dag.op_count();
+        *cached.session.lock().unwrap() = Some(Session::new(dag, metrics));
+        Ok(body(
+            request.base,
+            false,
+            &misses,
+            metrics.revise_sessions.load(Relaxed),
+            0,
+            0,
+            ops,
+        ))
     }
 }
 

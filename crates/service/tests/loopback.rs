@@ -738,8 +738,9 @@ fn panicking_requests_get_internal_errors_and_workers_survive() {
     let metrics = handle.metrics();
     assert_eq!(metrics.worker_panics.load(Ordering::Relaxed), 2);
     assert_eq!(metrics.queue_depth.load(Ordering::SeqCst), 0);
-    for kind in [sdlo_service::Kind::Sleep, sdlo_service::Kind::Advise] {
-        assert_eq!(metrics.kind(kind).in_flight.load(Ordering::Relaxed), 0);
+    for op in ["sleep", "advise"] {
+        let op_stats = metrics.op(sdlo_service::ops::find(op).0);
+        assert_eq!(op_stats.in_flight.load(Ordering::Relaxed), 0);
     }
     let resp = req(&mut c, r#"{"op":"metrics"}"#);
     let text = resp.get("text").unwrap().as_str().unwrap();

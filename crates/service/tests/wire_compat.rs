@@ -603,3 +603,36 @@ fn revise_error_envelopes_are_byte_stable() {
         r#"{"request_id":"rv-e3","v":1,"ok":false,"error":{"kind":"schema","message":"`delta.cache_sizes` is required to establish a new revise session"}}"#
     );
 }
+
+#[test]
+fn overflowing_revise_total_is_predicts_eval_error() {
+    // Every component count fits in i64, but the total misses overflow
+    // u64: `revise` answers what `predict` answers at the same point.
+    let e = engine();
+    let bindings = r#"{"Ni":2000000,"Nj":2000000,"Nk":2000000,"Ti":1,"Tj":1,"Tk":1}"#;
+    let golden = r#"{"id":9,"request_id":"big","v":1,"ok":false,"error":{"kind":"eval","message":"evaluation failed: integer overflow"}}"#;
+    let predict = e.handle_line(&format!(
+        r#"{{"op":"predict","id":9,"request_id":"big","program":"tiled_matmul","bindings":{bindings},"cache":1}}"#
+    ));
+    assert_eq!(predict, golden);
+    let base = shape_hash("tiled_matmul");
+    let cold = e.handle_line(&format!(
+        r#"{{"op":"revise","id":9,"request_id":"big","base":"{base}","program":"tiled_matmul","delta":{{"bindings":{bindings},"cache_sizes":[1]}}}}"#
+    ));
+    assert_eq!(cold, golden);
+
+    // The same point reached by a warm delta fails the same way and keeps
+    // the session's previous answer.
+    let start = r#"{"Ni":64,"Nj":64,"Nk":64,"Ti":8,"Tj":8,"Tk":8}"#;
+    let established = parse(&e.handle_line(&format!(
+        r#"{{"op":"revise","base":"{base}","program":"tiled_matmul","delta":{{"bindings":{start},"cache_sizes":[1]}}}}"#
+    )));
+    let warm = e.handle_line(&format!(
+        r#"{{"op":"revise","id":9,"request_id":"big","base":"{base}","delta":{{"bindings":{bindings}}}}}"#
+    ));
+    assert_eq!(warm, golden);
+    let noop = parse(&e.handle_line(&format!(
+        r#"{{"op":"revise","base":"{base}","delta":{{}}}}"#
+    )));
+    assert_eq!(noop.get("misses"), established.get("misses"));
+}

@@ -29,8 +29,8 @@
 //! [`count`] attributes a counter increment to the innermost open span of
 //! the calling thread, so deep library code can report counters without
 //! threading a handle through every signature. Each thread gets a stable
-//! trace `tid`, so rayon-parallel phases render as parallel tracks in
-//! Perfetto.
+//! trace `tid`, so phases run on parallel threads render as parallel
+//! tracks in Perfetto.
 //!
 //! The crate is dependency-free (it writes its own Chrome trace-event JSON)
 //! so every layer of the workspace can be instrumented without coupling.
@@ -45,16 +45,14 @@ pub mod log;
 /// names (`model.build`, `tilesearch.*`, `cachesim.replay`, …) stay string
 /// literals at their emission site.
 pub mod names {
-    /// Reactive-model family: building the dependency DAG from a built
+    /// Revise-session family: compiling a session's tape from a built
     /// model (`sdlo-core`).
     pub const REVISE_DAG_BUILD: &str = "revise.dag_build";
-    /// Applying one structured delta to a live DAG (`sdlo-core`).
+    /// Applying one structured delta to a live session (`sdlo-core`).
     pub const REVISE_APPLY_DELTA: &str = "revise.apply_delta";
     /// Base-miss fallback: establishing a revise session from a cold or
     /// cached model (`sdlo-service`).
     pub const REVISE_FULL_BUILD: &str = "revise.full_build";
-    /// One chunk of a DAG-driven tile sweep (`sdlo-tilesearch`).
-    pub const REVISE_SWEEP: &str = "revise.sweep";
 }
 
 use std::borrow::Cow;

@@ -107,6 +107,6 @@ fn main() {
             println!("  P={p}: {dt:?} (max |err| vs naive: {max_err:.2e})");
         }
     } else {
-        println!("\n(pass --run to execute the rayon kernels and verify numerically)");
+        println!("\n(pass --run to execute the threaded kernels and verify numerically)");
     }
 }
