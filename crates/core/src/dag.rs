@@ -6,8 +6,9 @@
 //! - **The tape**: [`ModelDag::new`] compiles the model once to a [`Tape`]
 //!   with every symbol the components read as an input and no binding
 //!   folded in, so a rebinding is only a new input value.
-//! - **Inputs**: the current value of each tape input, and the full
-//!   [`Bindings`] they came from.
+//! - **Inputs**: the current value of each tape input. A binding for a
+//!   symbol no component reads is not kept, so a session's state does not
+//!   grow with the symbols its deltas name.
 //! - **Cache sizes and totals**: the tracked sizes, ascending and deduped,
 //!   and the total predicted misses at each.
 //!
@@ -83,7 +84,6 @@ pub struct ModelDag {
     tape: Tape,
     /// The current value of each of the tape's inputs.
     inputs: Vec<i128>,
-    bindings: Bindings,
     /// Tracked cache sizes, ascending and deduped.
     cache_sizes: Vec<u64>,
     /// Per-size totals, parallel to `cache_sizes`.
@@ -136,7 +136,6 @@ impl ModelDag {
         Ok(ModelDag {
             tape,
             inputs,
-            bindings,
             cache_sizes,
             totals,
         })
@@ -163,7 +162,6 @@ impl ModelDag {
             self.cache_sizes = sizes;
             run = ops;
         }
-        self.bindings.extend(&delta.bindings);
         span.add("nodes_reevaluated", run);
         span.add("nodes_reused", ops - run);
         Ok(ReviseOutcome {
@@ -188,11 +186,6 @@ impl ModelDag {
             .binary_search(&cache_size)
             .ok()
             .map(|k| self.totals[k])
-    }
-
-    /// The DAG's current bindings.
-    pub fn bindings(&self) -> &Bindings {
-        &self.bindings
     }
 
     /// Ops on the tape's misses program: what a revision that changes
@@ -284,7 +277,6 @@ mod tests {
             assert_eq!(out.nodes_reused, dag.op_count() as u64);
             assert_eq!(out.misses, before);
         }
-        assert_eq!(dag.bindings().get(&Sym::new("Unused")), Some(3));
     }
 
     #[test]
@@ -316,7 +308,6 @@ mod tests {
         let model = MissModel::build(&programs::tiled_matmul());
         let mut dag = ModelDag::new(&model, tmm(256, (32, 32, 32)), &[2048]).unwrap();
         let before = dag.misses();
-        let before_bindings = dag.bindings().clone();
         // Unbinding is impossible via a delta, but a division by zero is
         // reachable: Ti = 0 makes ceil-div terms blow up. The failed
         // delta's new size set is not kept either.
@@ -326,7 +317,16 @@ mod tests {
         });
         assert_eq!(err, Err(ModelError::Eval(EvalError::DivisionByZero)));
         assert_eq!(dag.misses(), before);
-        assert_eq!(dag.bindings(), &before_bindings);
+        // The committed values are the ones before the failed delta:
+        // restating them runs nothing.
+        let out = dag
+            .revise(&DagDelta {
+                bindings: tmm(256, (32, 32, 32)),
+                cache_sizes: Some(vec![2048]),
+            })
+            .unwrap();
+        assert_eq!(out.nodes_reevaluated, 0, "{out:?}");
+        assert_eq!(out.misses, before);
         // Still serviceable after the failure.
         let out = dag
             .revise(&DagDelta {
@@ -377,6 +377,7 @@ mod tests {
             .with("Tn", 16);
         let sizes = [256u64, 4096, 65536];
         let mut dag = ModelDag::new(&model, base.clone(), &sizes).unwrap();
+        let mut current = base;
         for (sym, val) in [("Ti", 8), ("Nn", 128), ("Tm", 32), ("Nj", 32)] {
             let out = dag
                 .revise(&DagDelta {
@@ -384,8 +385,9 @@ mod tests {
                     cache_sizes: None,
                 })
                 .unwrap();
+            current.set(sym, val);
             for (cs, got) in out.misses {
-                let want = model.predict_misses(dag.bindings(), cs).unwrap();
+                let want = model.predict_misses(&current, cs).unwrap();
                 assert_eq!(got, want, "{sym}={val} CS={cs}");
             }
         }

@@ -3,11 +3,11 @@
 //! [`ModelDag`] must answer byte-identically to the batch evaluator
 //! [`MissModel::predict_misses`] at every tracked size, failures included:
 //! a delta `predict_misses` rejects at some size must fail with its error
-//! at the smallest such size and leave the DAG's misses and bindings as
-//! they were, and one it accepts must also equal a DAG rebuilt from
-//! scratch at the accumulated bindings. Values include zero and negative
-//! tiles and overflow-sized bounds, so division by zero, negative counts,
-//! counts past `i64` and totals past `u64` all come up. The corpus mixes
+//! at the smallest such size and leave the DAG's misses and inputs as they
+//! were, and one it accepts must also equal a DAG rebuilt from scratch at
+//! the accumulated bindings. Values include zero and negative tiles and
+//! overflow-sized bounds, so division by zero, negative counts, counts
+//! past `i64` and totals past `u64` all come up. The corpus mixes
 //! the paper's builtin kernels with programs synthesized by the mini
 //! tensor-contraction engine, so the equivalence is exercised on loop
 //! nests the builtins' shapes never produce.
@@ -129,7 +129,16 @@ proptest! {
                 // A failed delta commits nothing.
                 prop_assert_eq!(dag.misses(), before);
             }
-            prop_assert_eq!(dag.bindings(), &current);
+            // The committed state is `current` at `sizes`: restating it
+            // runs no ops.
+            let restated = dag
+                .revise(&DagDelta {
+                    bindings: current.clone(),
+                    cache_sizes: Some(sizes.clone()),
+                })
+                .unwrap();
+            prop_assert_eq!(restated.nodes_reevaluated, 0);
+            prop_assert_eq!(restated.misses, dag.misses());
         }
     }
 }

@@ -131,8 +131,8 @@ struct Shared {
     backends: Vec<BackendState>,
     ring: Ring,
     /// Front-side per-op counters and latency histograms — the same
-    /// structure a backend exposes, so scrapers and loadgen read the
-    /// router exactly like a single server.
+    /// structure a backend exposes, so a scraper reads the router exactly
+    /// like a single server.
     metrics: Arc<Metrics>,
     /// Requests that exhausted every backend and were answered with a
     /// synthesized error.

@@ -2,9 +2,9 @@
 //!
 //! The headline scenario is the kill-one-of-two failover: a backend is shut
 //! down abruptly (zero drain, in-flight responses dropped) in the middle of
-//! a request stream, and every single reply must still come back `ok` with
-//! the original request's correlation ids — the router absorbs the loss by
-//! failing over along the ring.
+//! one request stream, or of sixteen concurrent ones, and every single reply
+//! must still come back `ok` with the original request's correlation ids —
+//! the router absorbs the loss by failing over along the ring.
 
 use sdlo_router::{serve as serve_router, RouterConfig, RouterHandle};
 use sdlo_service::{serve as serve_backend, Client, ServerConfig, ServerHandle};
@@ -52,36 +52,72 @@ fn predict_line(i: usize, rid: &str) -> String {
     )
 }
 
-#[test]
-fn stream_survives_killing_one_of_two_backends() {
+/// Predicts each client sends; `b0` dies once every client has sent half.
+const LINES: usize = 200;
+
+/// Whether `reply` is an ok answer to predict `i` sent as `rid`.
+fn answers(reply: &str, i: usize, rid: &str) -> bool {
+    let Ok(v) = sdlo_wire::parse(reply) else {
+        return false;
+    };
+    v.get("ok").and_then(Value::as_bool) == Some(true)
+        && v.get("id").and_then(Value::as_i64) == Some(i as i64)
+        && v.get("request_id").and_then(Value::as_str) == Some(rid)
+        && v.get("misses").and_then(Value::as_u64).is_some()
+}
+
+/// `clients` connections stream predicts through the router. Once each has
+/// sent half of its lines, `b0` is shut down abruptly while the rest of
+/// every stream keeps flowing. Every reply must be ok and must carry its
+/// own request's ids. Clients collect lost replies instead of panicking,
+/// so every one of them reaches the halfway barrier.
+fn stream_survives_killing_b0(clients: usize) {
     let b0 = abrupt_backend();
     let b1 = abrupt_backend();
     let router = router_over(&[&b0, &b1], 25);
-    let mut c = Client::connect(router.addr()).unwrap();
+    let addr = router.addr();
+    let conns: Vec<Client> = (0..clients)
+        .map(|_| Client::connect(addr).unwrap())
+        .collect();
+    let halfway = std::sync::Barrier::new(clients + 1);
 
-    // Half the stream with both backends alive, then one dies abruptly and
-    // the rest of the stream keeps flowing. Every reply must be ok and must
-    // carry its own request's ids.
-    let mut b0 = Some(b0);
-    for i in 0..60 {
-        if i == 30 {
-            b0.take().unwrap().shutdown();
-        }
-        let rid = format!("fo-{i}");
-        let resp = req(&mut c, &predict_line(i, &rid));
-        assert_eq!(
-            resp.get("ok").and_then(Value::as_bool),
-            Some(true),
-            "request {i} lost across failover: {resp:?}"
-        );
-        assert_eq!(resp.get("id").and_then(Value::as_i64), Some(i as i64));
-        assert_eq!(
-            resp.get("request_id").and_then(Value::as_str),
-            Some(rid.as_str()),
-            "correlation broken on request {i}: {resp:?}"
-        );
-        assert!(resp.get("misses").and_then(Value::as_u64).is_some());
-    }
+    let lost: Vec<String> = std::thread::scope(|scope| {
+        let streams: Vec<_> = conns
+            .into_iter()
+            .enumerate()
+            .map(|(client, mut c)| {
+                let halfway = &halfway;
+                scope.spawn(move || {
+                    let mut lost = Vec::new();
+                    for i in 0..LINES {
+                        if i == LINES / 2 {
+                            halfway.wait();
+                        }
+                        let rid = format!("fo-{client}-{i}");
+                        match c.request_line(&predict_line(i, &rid)) {
+                            Ok(reply) if answers(&reply, i, &rid) => {}
+                            Ok(reply) => lost.push(format!("{rid}: {reply}")),
+                            Err(e) => lost.push(format!("{rid}: transport: {e}")),
+                        }
+                    }
+                    lost
+                })
+            })
+            .collect();
+        halfway.wait();
+        b0.shutdown();
+        streams
+            .into_iter()
+            .flat_map(|s| s.join().unwrap())
+            .collect()
+    });
+    assert!(
+        lost.is_empty(),
+        "{} of {} requests lost across failover, first: {:?}",
+        lost.len(),
+        clients * LINES,
+        &lost[..lost.len().min(4)]
+    );
 
     // The health loop (or the failed forward itself) marked the dead
     // backend down; the survivor carries the fleet.
@@ -92,8 +128,9 @@ fn stream_survives_killing_one_of_two_backends() {
     assert!(!router.backend_up(0), "dead backend still marked up");
     assert!(router.backend_up(1));
 
-    // The router's own stats agree: one backend down, transport errors
-    // recorded there, zero requests exhausted.
+    // The router's own stats agree: one backend down, every request
+    // forwarded, zero requests exhausted.
+    let mut c = Client::connect(addr).unwrap();
     let resp = req(&mut c, r#"{"op":"stats","request_id":"post"}"#);
     let stats = resp.get("stats").unwrap();
     let backends = stats
@@ -110,7 +147,11 @@ fn stream_survives_killing_one_of_two_backends() {
         .iter()
         .map(|b| b.get("requests").and_then(Value::as_u64).unwrap())
         .sum();
-    assert!(forwarded >= 60, "only {forwarded} forwards recorded");
+    let sent = (clients * LINES) as u64;
+    assert!(
+        forwarded >= sent,
+        "only {forwarded} forwards recorded for {sent} requests"
+    );
     assert_eq!(
         stats.path(&["router", "exhausted"]).and_then(Value::as_u64),
         Some(0),
@@ -119,6 +160,16 @@ fn stream_survives_killing_one_of_two_backends() {
 
     b1.shutdown();
     router.shutdown();
+}
+
+#[test]
+fn stream_survives_killing_one_of_two_backends() {
+    stream_survives_killing_b0(1);
+}
+
+#[test]
+fn sixteen_streams_survive_killing_one_of_two_backends() {
+    stream_survives_killing_b0(16);
 }
 
 #[test]

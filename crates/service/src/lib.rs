@@ -40,7 +40,7 @@ mod poll;
 pub mod server;
 
 pub use api::{ApiError, ErrorKind, RoutingKey, PROTOCOL_VERSION};
-pub use client::{is_overloaded, Client, RetryPolicy};
+pub use client::Client;
 pub use diskcache::{DiskCache, DiskOutcome};
 pub use engine::{Engine, EngineConfig};
 pub use metrics::Metrics;

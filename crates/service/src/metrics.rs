@@ -614,7 +614,7 @@ mod tests {
         assert!(text.contains("sdlo_request_queue_micros_sum 1003"));
         assert!(text.contains("sdlo_request_exec_micros_bucket{le=\"128\"} 1"));
         assert!(text.contains("sdlo_request_write_micros_count 0"));
-        // The queue-depth gauge rides along for the loadgen cross-check.
+        // The queue-depth gauge rides along with the phase histograms.
         assert!(text.contains("# TYPE sdlo_queue_depth gauge"));
         let snap = m.snapshot();
         let phases = snap.get("phases").unwrap();

@@ -9,17 +9,21 @@
 //!
 //! ## Session lifecycle
 //!
+//! A request's optional `program` must canonicalize to `base`; it is
+//! checked before either path runs, so a mismatched line gets the same
+//! schema error whether or not the base holds a session.
+//!
 //! * **Warm** (`revised: true`): the base's model is cached in memory and
 //!   holds a session; the delta is applied transactionally in place, under
 //!   the entry's lock. An evaluation error (e.g. a binding driving a count
 //!   negative) leaves the session untouched.
 //! * **Cold** (`revised: false`): no session. The model is recovered from
-//!   the request's optional `program` (which must canonicalize to `base`),
-//!   the in-memory model cache, or the disk tier — in that order — and a
-//!   fresh session is built from the delta, which must then carry
-//!   `cache_sizes` and bindings for every free symbol. A session lives
-//!   exactly as long as its model stays cached; once the model is evicted,
-//!   the next revise against that base is cold again.
+//!   the request's `program`, the in-memory model cache, or the disk
+//!   tier — in that order — and a fresh session is built from the delta,
+//!   which must then carry `cache_sizes` and bindings for every free
+//!   symbol. A session lives exactly as long as its model stays cached;
+//!   once the model is evicted, the next revise against that base is cold
+//!   again.
 //!
 //! The answers are byte-identical to `predict` over the same points, errors
 //! included — the tape runs the tree walk's checked arithmetic — so
@@ -144,6 +148,19 @@ impl ServiceOp for ReviseOp {
         let request = parse(ctx.request)?;
         let metrics = &engine.metrics;
         let eval = |e: ModelError| api::fail(ErrorKind::Eval, e.to_string());
+        let resolved = match request.program {
+            Some(spec) => {
+                let resolved = engine.resolve_spec(spec)?;
+                if resolved.canonical.hash != request.base {
+                    return Err(schema(format!(
+                        "`program` canonicalizes to `{:016x}`, which is not base `{:016x}`",
+                        resolved.canonical.hash, request.base
+                    )));
+                }
+                Some(resolved)
+            }
+            None => None,
+        };
 
         // Warm path: the base's model is cached in memory and holds a
         // session. The delta applies in place under the entry's lock, which
@@ -172,14 +189,7 @@ impl ServiceOp for ReviseOp {
         // Cold path: recover the model, build a fresh session outside the
         // entry's lock, then install it there.
         metrics.revise_base_misses.fetch_add(1, Relaxed);
-        let cached = if let Some(spec) = request.program {
-            let resolved = engine.resolve_spec(spec)?;
-            if resolved.canonical.hash != request.base {
-                return Err(schema(format!(
-                    "`program` canonicalizes to `{:016x}`, which is not base `{:016x}`",
-                    resolved.canonical.hash, request.base
-                )));
-            }
+        let cached = if let Some(resolved) = resolved {
             engine.model_for(&resolved).0
         } else {
             engine.model_by_hash(request.base).ok_or_else(|| {

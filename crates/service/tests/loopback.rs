@@ -330,6 +330,168 @@ fn overloaded_rejection_echoes_client_request_id() {
     handle.shutdown();
 }
 
+/// How a reply to `rid` under overload reads: `Ok(true)` for ok,
+/// `Ok(false)` for an `overloaded` rejection with a message, and `Err` for
+/// anything else — unparseable, not v1, uncorrelated, or another error.
+fn overload_verdict(reply: &str, rid: &str) -> Result<bool, String> {
+    let v = sdlo_wire::parse(reply).map_err(|e| format!("unparseable reply {reply}: {e}"))?;
+    if v.get("v").and_then(Value::as_u64) != Some(1) {
+        return Err(format!("reply does not speak v1: {reply}"));
+    }
+    if v.get("request_id").and_then(Value::as_str) != Some(rid) {
+        return Err(format!("request_id {rid} not echoed: {reply}"));
+    }
+    match v.get("ok").and_then(Value::as_bool) {
+        Some(true) => Ok(true),
+        Some(false)
+            if v.path(&["error", "kind"]).and_then(Value::as_str) == Some("overloaded")
+                && v.path(&["error", "message"])
+                    .and_then(Value::as_str)
+                    .is_some() =>
+        {
+            Ok(false)
+        }
+        _ => Err(format!("unexpected reply: {reply}")),
+    }
+}
+
+#[test]
+fn overload_rejects_part_of_the_load_and_counters_agree() {
+    // Sixteen closed-loop clients oversubscribe two workers and a queue of
+    // four for two seconds, so admission control rejects part of the load.
+    // Every reply must be well-formed and correlated, ok replies must keep
+    // flowing, and the server's counters must agree with the clients'.
+    const CLIENTS: usize = 16;
+    const WINDOW: std::time::Duration = std::time::Duration::from_secs(2);
+    const MIN_OK_PER_SEC: f64 = 300.0;
+    // One line per op, `predict` first. A batch nests only `analyze`, so
+    // the server's predict counter counts exactly the clients' predicts.
+    const ROTATION: [&str; 6] = [
+        r#""op":"predict","program":"tiled_matmul","bindings":{"Ni":64,"Nj":64,"Nk":64,"Ti":16,"Tj":16,"Tk":16},"cache":4096"#,
+        r#""op":"analyze","program":"two_index_fused""#,
+        r#""op":"lint","program":"matmul""#,
+        r#""op":"batch","requests":[{"op":"analyze","program":"matmul"},{"op":"analyze","program":"tiled_two_index"}]"#,
+        r#""op":"stats""#,
+        r#""op":"advise","program":"tiled_matmul","cache":4096,"bindings":{"Ni":64,"Nj":64,"Nk":64},"space":{"syms":["Ti","Tj","Tk"],"max":[64,64,64],"min":4},"deadline_ms":100"#,
+    ];
+
+    #[derive(Default)]
+    struct Seen {
+        ok: u64,
+        ok_predicts: u64,
+        overloaded: u64,
+        /// Client-side latency of every ok reply, microseconds.
+        latencies: Vec<u64>,
+        bad: Vec<String>,
+    }
+
+    let handle = start(ServerConfig {
+        workers: 2,
+        queue: 4,
+        ..small_server()
+    });
+    let addr = handle.addr();
+    let deadline = std::time::Instant::now() + WINDOW;
+    let clients: Vec<Seen> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                scope.spawn(move || {
+                    let mut seen = Seen::default();
+                    let mut c = Client::connect(addr).unwrap();
+                    let mut n = 0;
+                    while std::time::Instant::now() < deadline {
+                        let op = (client + n) % ROTATION.len();
+                        let rid = format!("ov-{client}-{n}");
+                        n += 1;
+                        let line = format!(r#"{{"request_id":"{rid}",{}}}"#, ROTATION[op]);
+                        let sent = std::time::Instant::now();
+                        let reply = match c.request_line(&line) {
+                            Ok(reply) => reply,
+                            Err(e) => {
+                                seen.bad.push(format!("{rid}: transport: {e}"));
+                                break;
+                            }
+                        };
+                        match overload_verdict(&reply, &rid) {
+                            Ok(true) => {
+                                seen.ok += 1;
+                                seen.ok_predicts += u64::from(op == 0);
+                                seen.latencies.push(sent.elapsed().as_micros() as u64);
+                            }
+                            Ok(false) => seen.overloaded += 1,
+                            Err(why) => seen.bad.push(why),
+                        }
+                    }
+                    seen
+                })
+            })
+            .collect();
+        threads.into_iter().map(|t| t.join().unwrap()).collect()
+    });
+
+    let bad: Vec<&String> = clients.iter().flat_map(|s| &s.bad).collect();
+    assert!(
+        bad.is_empty(),
+        "{} bad replies, first: {:?}",
+        bad.len(),
+        &bad[..bad.len().min(4)]
+    );
+    let ok: u64 = clients.iter().map(|s| s.ok).sum();
+    let overloaded: u64 = clients.iter().map(|s| s.overloaded).sum();
+    let ok_predicts: u64 = clients.iter().map(|s| s.ok_predicts).sum();
+    assert!(
+        ok > 0 && overloaded > 0,
+        "{ok} ok and {overloaded} overloaded replies"
+    );
+    let ok_per_sec = ok as f64 / WINDOW.as_secs_f64();
+    assert!(
+        ok_per_sec >= MIN_OK_PER_SEC,
+        "{ok_per_sec:.0} ok replies/s, below the {MIN_OK_PER_SEC} floor"
+    );
+    let mut latencies: Vec<u64> = clients.into_iter().flat_map(|s| s.latencies).collect();
+    latencies.sort_unstable();
+    let client_p99 = latencies[(latencies.len() * 99).div_ceil(100) - 1];
+
+    // The server's view, once the load has stopped.
+    let mut c = Client::connect(addr).unwrap();
+    let resp = req(&mut c, r#"{"op":"stats"}"#);
+    let stats = resp.get("stats").unwrap();
+    let count = |path: &[&str]| stats.path(path).and_then(Value::as_u64).unwrap();
+    assert_eq!(
+        count(&["rejected"]),
+        overloaded,
+        "every rejection is one overloaded reply"
+    );
+    assert_eq!(count(&["requests", "predict", "requests"]), ok_predicts);
+    // The latency histograms also hold batch sub-requests, hence `>=`.
+    let observed: u64 = stats
+        .get("requests")
+        .and_then(Value::as_object)
+        .unwrap()
+        .iter()
+        .flat_map(|(_, op)| {
+            op.path(&["latency", "buckets"])
+                .and_then(Value::as_array)
+                .unwrap()
+        })
+        .map(|bucket| bucket.get("count").and_then(Value::as_u64).unwrap())
+        .sum();
+    assert!(
+        observed >= ok,
+        "histograms hold {observed} requests, clients got {ok} ok"
+    );
+    // Queue wait is one slice of a request's latency. Its p99 is a log2
+    // bucket bound (up to twice the true value); the fixed slack covers a
+    // run where one bucket holds the whole distribution.
+    let queue_p99 = count(&["phases", "queue", "p99_le_micros"]);
+    assert!(
+        queue_p99 <= 2 * client_p99 + 1024,
+        "queue p99 <= {queue_p99} us against a client p99 of {client_p99} us"
+    );
+
+    handle.shutdown();
+}
+
 #[test]
 fn graceful_drain_completes_queued_requests_before_closing() {
     // A shutdown issued while K requests are queued must complete all K

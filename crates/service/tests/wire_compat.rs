@@ -605,6 +605,35 @@ fn revise_error_envelopes_are_byte_stable() {
 }
 
 #[test]
+fn mismatched_revise_program_is_rejected_warm_as_cold() {
+    // A `program` that does not canonicalize to `base` gets the same schema
+    // error whether or not the base already holds a session.
+    let e = engine();
+    let base = shape_hash("tiled_matmul");
+    let other = shape_hash("matmul");
+    let mismatched = format!(
+        r#"{{"op":"revise","request_id":"rv-m","base":"{base}","program":"matmul","delta":{{"bindings":{{"Ni":64,"Nj":64,"Nk":64}},"cache_sizes":[1024]}}}}"#
+    );
+    let golden = format!(
+        r#"{{"request_id":"rv-m","v":1,"ok":false,"error":{{"kind":"schema","message":"`program` canonicalizes to `{other}`, which is not base `{base}`"}}}}"#
+    );
+    assert_eq!(e.handle_line(&mismatched), golden);
+
+    let established = parse(&e.handle_line(&format!(
+        r#"{{"op":"revise","base":"{base}","program":"tiled_matmul","delta":{{"bindings":{{"Ni":512,"Nj":512,"Nk":512,"Ti":64,"Tj":64,"Tk":64}},"cache_sizes":[8192]}}}}"#
+    )));
+    assert_eq!(established.get("revised").unwrap().as_bool(), Some(false));
+    assert_eq!(e.handle_line(&mismatched), golden);
+
+    // The live session is untouched.
+    let noop = parse(&e.handle_line(&format!(
+        r#"{{"op":"revise","base":"{base}","delta":{{}}}}"#
+    )));
+    assert_eq!(noop.get("revised").unwrap().as_bool(), Some(true));
+    assert_eq!(noop.get("misses"), established.get("misses"));
+}
+
+#[test]
 fn overflowing_revise_total_is_predicts_eval_error() {
     // Every component count fits in i64, but the total misses overflow
     // u64: `revise` answers what `predict` answers at the same point.
