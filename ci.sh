@@ -42,7 +42,8 @@ cargo run --release -q -p sdlo-bench --bin tables -- profile --all-builtins \
 
 # Disabled-tracing overhead: a span in the hot path must cost nanoseconds
 # when no collector is installed (one relaxed atomic load). Exits 1 over the
-# gate; the measurement lands in results/trace-overhead.txt.
+# gate; the measurement is printed, not written, because it depends on the
+# host and a tracked file would leave every run's tree dirty.
 echo "==> tables trace-overhead"
 cargo run --release -q -p sdlo-bench --bin tables -- trace-overhead --max-ns 150
 

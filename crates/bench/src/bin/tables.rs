@@ -79,7 +79,7 @@ fn usage(to_stderr: bool) {
          \x20                             spans more than one process\n\
          \n\
          trace-overhead measures the disabled-tracing span fast path and\n\
-         writes results/trace-overhead.txt.\n\
+         prints its ns/call.\n\
          \x20 tables trace-overhead [--max-ns N]   gate, ns/call (default 150)";
     if to_stderr {
         eprintln!("{text}");
@@ -1116,7 +1116,8 @@ fn run_trace_merge(args: &[String]) -> ! {
 
 /// Measure what a span costs when no collector is installed — the price
 /// every request pays for always-compiled tracing — and gate it against a
-/// ns/call ceiling. Writes `results/trace-overhead.txt`.
+/// ns/call ceiling. Prints the measurement and writes no file: the number
+/// depends on the host.
 fn run_trace_overhead(args: &[String]) -> ! {
     let mut max_ns: f64 = 150.0;
     let mut it = args.iter();
@@ -1158,21 +1159,12 @@ fn run_trace_overhead(args: &[String]) -> ! {
     let baseline = time_loop(false);
     let spans = time_loop(true);
     let per_call_ns = spans.saturating_sub(baseline).as_nanos() as f64 / ITERS as f64;
-    let report = format!(
+    println!(
         "disabled-tracing span overhead: {per_call_ns:.2} ns/call \
-         (span loop {:.1} ms, baseline {:.1} ms, {ITERS} iterations, gate {max_ns:.0} ns)\n",
+         (span loop {:.1} ms, baseline {:.1} ms, {ITERS} iterations, gate {max_ns:.0} ns)",
         spans.as_secs_f64() * 1e3,
         baseline.as_secs_f64() * 1e3,
     );
-    print!("{report}");
-    let dir = std::path::Path::new("results");
-    let _ = std::fs::create_dir_all(dir);
-    let path = dir.join("trace-overhead.txt");
-    if let Err(e) = std::fs::write(&path, &report) {
-        eprintln!("error: cannot write {}: {e}", path.display());
-        std::process::exit(1);
-    }
-    eprintln!("wrote {}", path.display());
     if per_call_ns > max_ns {
         eprintln!(
             "error: disabled-span overhead {per_call_ns:.2} ns/call exceeds gate {max_ns:.0} ns"

@@ -33,6 +33,12 @@
 //! Everything else — `analyze`, `predict`, `advise`, `batch`, `lint`, even
 //! malformed lines — is forwarded byte-for-byte and answered with the
 //! backend's reply byte-for-byte, so the router adds no protocol surface.
+//!
+//! The router runs on the daemon's transport ([`sdlo_service::server`]),
+//! with its proxy as the [`LineHandler`]: the same `poll(2)` reactor,
+//! worker pool, line cap (`too_large`), admission control (`overloaded`),
+//! write backpressure, in-order pipelining, three-phase drain on
+//! `shutdown` and `catch_unwind` safety net as a backend.
 
 pub mod ring;
 
@@ -40,15 +46,15 @@ use ring::Ring;
 use sdlo_service::api::{self, ApiError, ErrorKind, RoutingKey};
 use sdlo_service::client::Client;
 use sdlo_service::metrics::Metrics;
+use sdlo_service::server::{self, LineHandler, RequestMeta, ServerConfig, ServerHandle};
 use sdlo_trace::flight::{FlightRecord, FlightRecorder};
 use sdlo_trace::AttrValue;
 use sdlo_wire::Value;
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Router tunables. Defaults suit a loopback fleet; every knob is surfaced
@@ -101,9 +107,9 @@ impl Default for RouterConfig {
     }
 }
 
-/// Per-backend rollups, all lock-free. `up` is the eviction state the ring
-/// walk consults.
-#[derive(Debug, Default)]
+/// Per-backend rollups, all lock-free, and the idle connections. `up` is
+/// the eviction state the ring walk consults.
+#[derive(Default)]
 pub struct BackendState {
     pub addr: String,
     up: AtomicBool,
@@ -118,6 +124,9 @@ pub struct BackendState {
     pub retries: AtomicU64,
     pub latency_sum_micros: AtomicU64,
     pub latency_count: AtomicU64,
+    /// Connections no worker is using. A worker takes one (or connects),
+    /// puts it back after a reply, and drops it on a transport error.
+    idle: Mutex<Vec<Client>>,
 }
 
 impl BackendState {
@@ -126,7 +135,9 @@ impl BackendState {
     }
 }
 
-struct Shared {
+/// The router's line handler: answers `stats`, `metrics` and `debug`
+/// itself and forwards every other line to a backend.
+struct Proxy {
     config: RouterConfig,
     backends: Vec<BackendState>,
     ring: Ring,
@@ -137,6 +148,7 @@ struct Shared {
     /// Requests that exhausted every backend and were answered with a
     /// synthesized error.
     exhausted: AtomicU64,
+    /// Stops the health loop.
     stop: AtomicBool,
     /// Round-robin cursor for keyless requests.
     rr: AtomicU64,
@@ -144,17 +156,38 @@ struct Shared {
     jitter: AtomicU64,
     /// Source for router-generated request ids on synthesized replies.
     req_seq: AtomicU64,
-    /// Our own bound address, used to poke the accept loop on shutdown.
-    self_addr: std::sync::OnceLock<SocketAddr>,
     /// Always-on ring of the last N proxied requests plus slow captures —
     /// the router-side half of `debug`/`trace_dump`.
     flight: Arc<FlightRecorder>,
-    /// Guards the final drain-summary log record (emitted exactly once,
-    /// whether shutdown arrives over the wire or via the handle).
-    summary: std::sync::Once,
 }
 
-impl Shared {
+impl Proxy {
+    fn new(config: RouterConfig) -> Proxy {
+        Proxy {
+            backends: config
+                .backends
+                .iter()
+                .map(|a| BackendState {
+                    addr: a.clone(),
+                    up: AtomicBool::new(true),
+                    ..BackendState::default()
+                })
+                .collect(),
+            ring: Ring::build(&config.backends, config.vnodes),
+            metrics: Arc::new(Metrics::default()),
+            exhausted: AtomicU64::new(0),
+            stop: AtomicBool::new(false),
+            rr: AtomicU64::new(0),
+            jitter: AtomicU64::new(0x243f_6a88_85a3_08d3),
+            req_seq: AtomicU64::new(1),
+            flight: Arc::new(FlightRecorder::new(
+                config.flight_capacity,
+                config.slow_threshold_micros,
+            )),
+            config,
+        }
+    }
+
     fn next_jitter(&self) -> u64 {
         let mut x = self
             .jitter
@@ -162,10 +195,6 @@ impl Shared {
         x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
         x ^ (x >> 31)
-    }
-
-    fn next_request_id(&self) -> String {
-        format!("rtr-{:08x}", self.req_seq.fetch_add(1, Ordering::Relaxed))
     }
 
     fn note_success(&self, idx: usize) {
@@ -195,36 +224,6 @@ impl Shared {
         }
     }
 
-    /// The final summary record, logged exactly once at drain regardless of
-    /// how many shutdown paths race.
-    fn drain_summary(&self) {
-        self.summary.call_once(|| {
-            let up = self.backends.iter().filter(|b| b.is_up()).count();
-            let transport_errors: u64 = self
-                .backends
-                .iter()
-                .map(|b| b.transport_errors.load(Ordering::Relaxed))
-                .sum();
-            sdlo_trace::log::info(
-                "router",
-                "drain.summary",
-                &[
-                    ("requests_recorded", AttrValue::UInt(self.flight.pushed())),
-                    (
-                        "exhausted",
-                        AttrValue::UInt(self.exhausted.load(Ordering::Relaxed)),
-                    ),
-                    ("transport_errors", AttrValue::UInt(transport_errors)),
-                    ("backends_up", AttrValue::UInt(up as u64)),
-                    (
-                        "slow_captures",
-                        AttrValue::UInt(self.flight.slow().len() as u64),
-                    ),
-                ],
-            );
-        });
-    }
-
     /// Candidate sequence for one request: ring order for shaped keys,
     /// rotating round-robin for keyless ones.
     fn candidates(&self, key: RoutingKey) -> Vec<usize> {
@@ -236,6 +235,464 @@ impl Shared {
                 (0..n).map(|i| (start + i) % n).collect()
             }
         }
+    }
+
+    /// The `stats` body: the front-side snapshot (same shape as a backend's
+    /// `stats`) with a `router` section of per-backend rollups.
+    fn stats_body(&self) -> Vec<(&'static str, Value)> {
+        let load = |a: &AtomicU64| Value::from(a.load(Ordering::Relaxed));
+        let backends: Vec<Value> = self
+            .backends
+            .iter()
+            .map(|b| {
+                Value::obj(vec![
+                    ("addr", Value::from(b.addr.as_str())),
+                    ("up", Value::from(b.is_up())),
+                    ("requests", load(&b.requests)),
+                    ("errors", load(&b.errors)),
+                    ("transport_errors", load(&b.transport_errors)),
+                    ("retries", load(&b.retries)),
+                    (
+                        "latency",
+                        Value::obj(vec![
+                            ("sum_micros", load(&b.latency_sum_micros)),
+                            ("count", load(&b.latency_count)),
+                        ]),
+                    ),
+                ])
+            })
+            .collect();
+        let router = Value::obj(vec![
+            ("backends", Value::Array(backends)),
+            ("vnodes", Value::from(self.config.vnodes as u64)),
+            ("ring_points", Value::from(self.ring.points() as u64)),
+            ("exhausted", load(&self.exhausted)),
+        ]);
+        api::stats_body(&self.metrics, &self.flight, ("router", router))
+    }
+
+    /// The router answers `debug` itself: `trace_dump` exposes the
+    /// router-side flight recorder (each backend serves its own over the
+    /// same op).
+    fn local_debug(&self, request: Option<&Value>) -> (String, bool) {
+        let what = request
+            .and_then(|v| v.get("what"))
+            .and_then(Value::as_str)
+            .unwrap_or("trace_dump");
+        if what == "trace_dump" {
+            return self.local_reply(request, api::flight_dump_body(&self.flight));
+        }
+        let (id, request_id) = self.correlation(request);
+        let err = ApiError::new(
+            ErrorKind::Schema,
+            format!("unknown debug query `{what}` (expected `trace_dump`)"),
+        );
+        (api::error_reply(id, &request_id, &err).render(), false)
+    }
+
+    /// A success reply built by the router itself (stats/metrics), with the
+    /// standard envelope correlation.
+    fn local_reply(
+        &self,
+        request: Option<&Value>,
+        body: Vec<(&'static str, Value)>,
+    ) -> (String, bool) {
+        let (id, request_id) = self.correlation(request);
+        (api::reply(id, &request_id, body).render(), true)
+    }
+
+    fn correlation(&self, request: Option<&Value>) -> (Option<Value>, String) {
+        let id = request.and_then(|r| r.get("id")).cloned();
+        let request_id = request
+            .and_then(|r| r.get("request_id"))
+            .and_then(Value::as_str)
+            .map(str::to_string)
+            .unwrap_or_else(|| self.next_request_id());
+        (id, request_id)
+    }
+
+    /// Forward one request line: walk the candidate backends, failing over on
+    /// transport errors and (bounded, jittered) on `overloaded` replies. The
+    /// reply is the backend's bytes untouched; only when every avenue is
+    /// exhausted does the router synthesize an error envelope itself.
+    fn forward(
+        &self,
+        request: Option<&Value>,
+        key: RoutingKey,
+        line: &str,
+        started: Instant,
+        info: &mut ForwardInfo,
+    ) -> (String, bool) {
+        let order = self.candidates(key);
+        let deadline = started + Duration::from_millis(self.config.retry_budget_ms);
+        let mut overload_retries = 0u32;
+        let mut last_overloaded: Option<String> = None;
+        // Hard bound on total attempts: every backend may be tried once per
+        // "round", with one extra round per allowed overload retry.
+        let attempt_cap = (order.len() as u32) * (self.config.max_retries + 2);
+        let mut cursor = 0usize;
+
+        for attempt in 0..attempt_cap {
+            if attempt > 0 && Instant::now() >= deadline {
+                break;
+            }
+            // Next candidate: prefer admitted backends; when everything is
+            // marked down, try them anyway — probing is how they come back.
+            let idx = {
+                let n = order.len();
+                let pos = (0..n)
+                    .map(|i| (cursor + i) % n)
+                    .find(|p| self.backends[order[*p]].is_up())
+                    .unwrap_or(cursor % n);
+                cursor = pos + 1;
+                order[pos]
+            };
+            let backend = &self.backends[idx];
+            let sent = Instant::now();
+            match self.try_backend(idx, line) {
+                Ok(text) => {
+                    self.note_success(idx);
+                    info.backend = Some(idx);
+                    backend.requests.fetch_add(1, Ordering::Relaxed);
+                    backend
+                        .latency_sum_micros
+                        .fetch_add(sent.elapsed().as_micros() as u64, Ordering::Relaxed);
+                    backend.latency_count.fetch_add(1, Ordering::Relaxed);
+                    let reply = sdlo_wire::parse(&text).ok();
+                    let ok = reply
+                        .as_ref()
+                        .and_then(|r| r.get("ok"))
+                        .and_then(Value::as_bool)
+                        .unwrap_or(false);
+                    if ok {
+                        return (text, true);
+                    }
+                    backend.errors.fetch_add(1, Ordering::Relaxed);
+                    let overloaded = reply
+                        .as_ref()
+                        .and_then(|r| r.path(&["error", "kind"]))
+                        .and_then(Value::as_str)
+                        == Some(ErrorKind::Overloaded.as_str());
+                    if !overloaded {
+                        // Any other error is the request's real answer.
+                        return (text, false);
+                    }
+                    last_overloaded = Some(text);
+                    if overload_retries >= self.config.max_retries {
+                        break;
+                    }
+                    overload_retries += 1;
+                    info.retries = overload_retries;
+                    backend.retries.fetch_add(1, Ordering::Relaxed);
+                    // Capped exponential backoff with ±50% jitter.
+                    let base = self.config.retry_base_ms << (overload_retries - 1).min(6);
+                    let jitter = self.next_jitter() % base.max(1);
+                    std::thread::sleep(Duration::from_millis((base / 2 + jitter).min(200)));
+                }
+                Err(e) => {
+                    backend.transport_errors.fetch_add(1, Ordering::Relaxed);
+                    self.note_failure(idx);
+                    info.failovers += 1;
+                    // Fail over immediately: the next candidate gets the
+                    // request, the client never sees the dead backend.
+                    sdlo_trace::log::warn(
+                        "router",
+                        "backend.failover",
+                        &[
+                            ("backend", AttrValue::Str(backend.addr.clone())),
+                            ("attempt", AttrValue::UInt(u64::from(attempt) + 1)),
+                            ("error", AttrValue::Str(e.to_string())),
+                        ],
+                    );
+                }
+            }
+        }
+        // Exhausted: the last overloaded reply (already correlated by the
+        // backend) beats a synthesized envelope.
+        if let Some(text) = last_overloaded {
+            return (text, false);
+        }
+        self.exhausted.fetch_add(1, Ordering::Relaxed);
+        let (id, request_id) = self.correlation(request);
+        let err = ApiError::new(
+            ErrorKind::Overloaded,
+            "no backend available (all candidates failed or overloaded)",
+        );
+        (api::error_reply(id, &request_id, &err).render(), false)
+    }
+
+    /// One attempt against one backend on an idle connection, or a new one
+    /// when none is idle. The connection goes back to the idle list after a
+    /// reply; a transport error drops it. A pop or a push leaves the list
+    /// valid, so a lock poisoned by a panicking worker is still usable.
+    fn try_backend(&self, idx: usize, line: &str) -> std::io::Result<String> {
+        let backend = &self.backends[idx];
+        let idle = backend
+            .idle
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        let mut client = match idle {
+            Some(client) => client,
+            None => {
+                let client = Client::connect(&backend.addr)?;
+                client.set_read_timeout(Some(Duration::from_millis(
+                    self.config.backend_timeout_ms.max(100),
+                )))?;
+                client
+            }
+        };
+        let text = client.request_line(line)?;
+        backend
+            .idle
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(client);
+        Ok(text)
+    }
+}
+
+/// A running router. Dropping the handle does not stop it; call
+/// [`RouterHandle::shutdown`] or send `{"op":"shutdown"}`.
+pub struct RouterHandle {
+    server: ServerHandle<Proxy>,
+    proxy: Arc<Proxy>,
+    health: JoinHandle<()>,
+}
+
+impl RouterHandle {
+    pub fn addr(&self) -> SocketAddr {
+        self.server.addr()
+    }
+
+    pub fn metrics(&self) -> Arc<Metrics> {
+        Arc::clone(&self.proxy.metrics)
+    }
+
+    /// The router's flight recorder — install it as the process trace
+    /// collector to feed slow captures and `trace_dump` span trees.
+    pub fn flight(&self) -> Arc<FlightRecorder> {
+        Arc::clone(&self.proxy.flight)
+    }
+
+    /// Whether backend `idx` is currently admitted to ring walks.
+    pub fn backend_up(&self, idx: usize) -> bool {
+        self.proxy.backends[idx].is_up()
+    }
+
+    /// Drain the router as [`ServerHandle::shutdown`] drains a backend, then
+    /// stop the health loop.
+    pub fn shutdown(self) {
+        self.server.shutdown();
+        stop_health(&self.proxy, self.health);
+    }
+
+    /// Block until a `{"op":"shutdown"}` request arrives and the drain
+    /// completes, then stop the health loop.
+    pub fn run_until_shutdown(self) {
+        self.server.run_until_shutdown();
+        stop_health(&self.proxy, self.health);
+    }
+}
+
+fn stop_health(proxy: &Proxy, health: JoinHandle<()>) {
+    proxy.stop.store(true, Ordering::SeqCst);
+    health.thread().unpark();
+    let _ = health.join();
+}
+
+/// Bind and start the router on the daemon's transport, plus one
+/// background health prober. A forward holds its worker until the backend
+/// answers, so the router runs `backends × available_parallelism` workers:
+/// as many requests as the backends run at once with their default
+/// `--workers`.
+pub fn serve(config: RouterConfig) -> std::io::Result<RouterHandle> {
+    if config.backends.is_empty() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            "router needs at least one --backend",
+        ));
+    }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let transport = ServerConfig {
+        addr: config.addr.clone(),
+        workers: config.backends.len() * cores,
+        ..ServerConfig::default()
+    };
+    let proxy = Arc::new(Proxy::new(config));
+    let health = {
+        let proxy = Arc::clone(&proxy);
+        std::thread::Builder::new()
+            .name("router-health".into())
+            .spawn(move || health_loop(&proxy))?
+    };
+    match server::serve_with(transport, Arc::clone(&proxy)) {
+        Ok(server) => Ok(RouterHandle {
+            server,
+            proxy,
+            health,
+        }),
+        Err(e) => {
+            stop_health(&proxy, health);
+            Err(e)
+        }
+    }
+}
+
+/// Probe every backend with a `stats` request each interval; a valid reply
+/// re-admits, a failure counts toward eviction.
+fn health_loop(proxy: &Proxy) {
+    let interval = Duration::from_millis(proxy.config.health_interval_ms);
+    if interval.is_zero() {
+        return;
+    }
+    let probe_line = r#"{"op":"stats","request_id":"router-health"}"#;
+    while !proxy.stop.load(Ordering::SeqCst) {
+        for (idx, b) in proxy.backends.iter().enumerate() {
+            let ok = Client::connect(&b.addr)
+                .and_then(|mut c| {
+                    c.set_read_timeout(Some(Duration::from_millis(
+                        proxy.config.backend_timeout_ms.max(100),
+                    )))?;
+                    c.request_line(probe_line)
+                })
+                .is_ok();
+            if ok {
+                proxy.note_success(idx);
+            } else {
+                proxy.note_failure(idx);
+            }
+        }
+        // `stop_health` unparks the thread, so shutdown is prompt.
+        let deadline = Instant::now() + interval;
+        while !proxy.stop.load(Ordering::SeqCst) {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break;
+            }
+            std::thread::park_timeout(left);
+        }
+    }
+}
+
+impl LineHandler for Proxy {
+    const COMPONENT: &'static str = "router";
+
+    /// One request line: `stats`, `metrics` and `debug` are answered here,
+    /// everything else is forwarded. The transport answers raw scrapes and
+    /// `shutdown` before a line gets here.
+    fn handle_line_timed(&self, line: &str, queue_micros: u64) -> (String, Option<RequestMeta>) {
+        let started = Instant::now();
+        let parsed = sdlo_wire::parse(line).ok();
+        let op = parsed
+            .as_ref()
+            .and_then(|v| v.get("op"))
+            .and_then(Value::as_str)
+            .unwrap_or("");
+        let op_stats = self.metrics.op(sdlo_service::ops::find(op).0);
+        // Adopt the client's trace context when it sent one; otherwise the
+        // router is the trace root and mints the fleet-wide id itself (only
+        // when a collector is installed — untraced routers stay silent).
+        let incoming = parsed.as_ref().and_then(api::request_trace);
+        let span = sdlo_trace::span_with_parent(
+            "router.request",
+            incoming.as_ref().and_then(|t| t.parent_span),
+        );
+        span.attr("op", op);
+        let trace_id = match (&incoming, span.id()) {
+            (Some(t), _) => t.trace_id.clone(),
+            (None, Some(_)) => format!("{:016x}", self.next_jitter()),
+            (None, None) => String::new(),
+        };
+        if !trace_id.is_empty() {
+            span.attr("trace_id", trace_id.as_str());
+        }
+        let key = parsed
+            .as_ref()
+            .map(api::routing_key)
+            .unwrap_or(RoutingKey::Any);
+
+        // Aggregated observability is answered by the router; everything
+        // else forwards (with the router's trace context spliced in when a
+        // collector is recording, so backend spans parent under our root).
+        let mut fwd = ForwardInfo::default();
+        let (reply, ok) = match op {
+            "stats" => self.local_reply(parsed.as_ref(), self.stats_body()),
+            "metrics" => self.local_reply(
+                parsed.as_ref(),
+                vec![
+                    ("content_type", Value::from("text/plain; version=0.0.4")),
+                    ("text", Value::from(self.prometheus())),
+                ],
+            ),
+            "debug" => self.local_debug(parsed.as_ref()),
+            _ => {
+                let wire_line = traced_line(line, &trace_id, span.id());
+                self.forward(parsed.as_ref(), key, &wire_line, started, &mut fwd)
+            }
+        };
+        if let Some(idx) = fwd.backend {
+            span.attr("backend", self.backends[idx].addr.as_str());
+        }
+        span.attr("failovers", u64::from(fwd.failovers));
+        span.attr("retries", u64::from(fwd.retries));
+        let exec_micros = started.elapsed().as_micros() as u64;
+        op_stats.record(exec_micros, ok);
+        self.metrics.exec.observe_micros(exec_micros);
+        let root_span = span.id();
+        drop(span);
+        let status = if ok {
+            "ok".to_string()
+        } else {
+            sdlo_wire::parse(&reply)
+                .ok()
+                .and_then(|r| {
+                    r.path(&["error", "kind"])
+                        .and_then(Value::as_str)
+                        .map(str::to_string)
+                })
+                .unwrap_or_else(|| "error".to_string())
+        };
+        let flight_ticket = self.flight.push(
+            FlightRecord {
+                op: op.to_string(),
+                canon_hash: match key {
+                    RoutingKey::Shape(h) => h,
+                    RoutingKey::Any => 0,
+                },
+                status,
+                queue_micros,
+                exec_micros,
+                total_micros: queue_micros + exec_micros,
+                retries: u64::from(fwd.retries),
+                failovers: u64::from(fwd.failovers),
+                request_id: parsed
+                    .as_ref()
+                    .and_then(|r| r.get("request_id"))
+                    .and_then(Value::as_str)
+                    .unwrap_or("")
+                    .to_string(),
+                trace_id,
+                ..FlightRecord::default()
+            },
+            root_span,
+        );
+        // A forwarded reply is the backend's bytes: its `timing`, if any,
+        // is the backend's, and the reactor must not splice into it.
+        let meta = RequestMeta {
+            flight_ticket,
+            root_span,
+            server_timing: false,
+        };
+        (reply, Some(meta))
+    }
+
+    fn metrics(&self) -> Arc<Metrics> {
+        Arc::clone(&self.metrics)
+    }
+
+    fn flight(&self) -> Arc<FlightRecorder> {
+        Arc::clone(&self.flight)
     }
 
     /// The full Prometheus exposition: front-side series (identical shape
@@ -291,415 +748,25 @@ impl Shared {
         out
     }
 
-    /// The `stats` body: the front-side snapshot (same shape as a backend's
-    /// `stats`) plus a `router` section with per-backend rollups.
-    fn stats_body(&self) -> Vec<(&'static str, Value)> {
-        let mut snap = match self.metrics.snapshot() {
-            Value::Object(fields) => fields,
-            _ => unreachable!("snapshot is an object"),
-        };
-        let load = |a: &AtomicU64| Value::from(a.load(Ordering::Relaxed));
-        let backends: Vec<Value> = self
+    fn next_request_id(&self) -> String {
+        format!("rtr-{:08x}", self.req_seq.fetch_add(1, Ordering::Relaxed))
+    }
+
+    fn drain_fields(&self) -> Vec<(&'static str, AttrValue)> {
+        let transport_errors: u64 = self
             .backends
             .iter()
-            .map(|b| {
-                Value::obj(vec![
-                    ("addr", Value::from(b.addr.as_str())),
-                    ("up", Value::from(b.is_up())),
-                    ("requests", load(&b.requests)),
-                    ("errors", load(&b.errors)),
-                    ("transport_errors", load(&b.transport_errors)),
-                    ("retries", load(&b.retries)),
-                    (
-                        "latency",
-                        Value::obj(vec![
-                            ("sum_micros", load(&b.latency_sum_micros)),
-                            ("count", load(&b.latency_count)),
-                        ]),
-                    ),
-                ])
-            })
-            .collect();
-        snap.push((
-            "slowest".to_string(),
-            Value::Object(
-                self.flight
-                    .slowest_per_op()
-                    .into_iter()
-                    .map(|(op, r)| {
-                        (
-                            op,
-                            Value::obj(vec![
-                                ("total_micros", Value::from(r.total_micros)),
-                                ("request_id", Value::from(r.request_id.as_str())),
-                                ("trace_id", Value::from(r.trace_id.as_str())),
-                            ]),
-                        )
-                    })
-                    .collect(),
-            ),
-        ));
-        snap.push((
-            "router".to_string(),
-            Value::obj(vec![
-                ("backends", Value::Array(backends)),
-                ("vnodes", Value::from(self.config.vnodes as u64)),
-                ("ring_points", Value::from(self.ring.points() as u64)),
-                ("exhausted", load(&self.exhausted)),
-            ]),
-        ));
-        snap.push((
-            "protocol_version".to_string(),
-            Value::from(api::PROTOCOL_VERSION),
-        ));
-        snap.push((
-            "ops".to_string(),
-            Value::Array(api::ops().iter().map(|o| Value::from(*o)).collect()),
-        ));
-        vec![("stats", Value::Object(snap))]
-    }
-}
-
-/// A running router. Dropping the handle does not stop it; call
-/// [`RouterHandle::shutdown`] or send `{"op":"shutdown"}`.
-pub struct RouterHandle {
-    addr: SocketAddr,
-    shared: Arc<Shared>,
-    accept: Option<std::thread::JoinHandle<()>>,
-    health: Option<std::thread::JoinHandle<()>>,
-}
-
-impl RouterHandle {
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    pub fn metrics(&self) -> Arc<Metrics> {
-        Arc::clone(&self.shared.metrics)
-    }
-
-    /// The router's flight recorder — install it as the process trace
-    /// collector to feed slow captures and `trace_dump` span trees.
-    pub fn flight(&self) -> Arc<FlightRecorder> {
-        Arc::clone(&self.shared.flight)
-    }
-
-    /// Whether backend `idx` is currently admitted to ring walks.
-    pub fn backend_up(&self, idx: usize) -> bool {
-        self.shared.backends[idx].is_up()
-    }
-
-    fn join(&mut self) {
-        // Unblock the accept loop, which only observes `stop` between
-        // accepts.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(t) = self.accept.take() {
-            let _ = t.join();
-        }
-        if let Some(t) = self.health.take() {
-            let _ = t.join();
-        }
-    }
-
-    /// Stop accepting and wait for the service threads to exit. In-flight
-    /// client connections finish their current request and close.
-    pub fn shutdown(mut self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.join();
-        self.shared.drain_summary();
-    }
-
-    /// Block until a `{"op":"shutdown"}` request arrives.
-    pub fn run_until_shutdown(mut self) {
-        while !self.shared.stop.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        self.join();
-        self.shared.drain_summary();
-    }
-}
-
-/// Bind and start the router: one accept thread, one thread per client
-/// connection, one background health prober.
-pub fn serve(config: RouterConfig) -> std::io::Result<RouterHandle> {
-    if config.backends.is_empty() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            "router needs at least one --backend",
-        ));
-    }
-    let listener = TcpListener::bind(&config.addr)?;
-    let addr = listener.local_addr()?;
-    let ring = Ring::build(&config.backends, config.vnodes);
-    let backends = config
-        .backends
-        .iter()
-        .map(|a| BackendState {
-            addr: a.clone(),
-            up: AtomicBool::new(true),
-            ..BackendState::default()
-        })
-        .collect();
-    let shared = Arc::new(Shared {
-        backends,
-        ring,
-        metrics: Arc::new(Metrics::default()),
-        exhausted: AtomicU64::new(0),
-        stop: AtomicBool::new(false),
-        rr: AtomicU64::new(0),
-        jitter: AtomicU64::new(0x243f_6a88_85a3_08d3),
-        req_seq: AtomicU64::new(1),
-        self_addr: std::sync::OnceLock::new(),
-        flight: Arc::new(FlightRecorder::new(
-            config.flight_capacity,
-            config.slow_threshold_micros,
-        )),
-        summary: std::sync::Once::new(),
-        config,
-    });
-    sdlo_trace::log::info(
-        "router",
-        "router.started",
-        &[
-            ("addr", AttrValue::Str(addr.to_string())),
+            .map(|b| b.transport_errors.load(Ordering::Relaxed))
+            .sum();
+        let up = self.backends.iter().filter(|b| b.is_up()).count();
+        vec![
             (
-                "backends",
-                AttrValue::UInt(shared.config.backends.len() as u64),
+                "exhausted",
+                AttrValue::UInt(self.exhausted.load(Ordering::Relaxed)),
             ),
-        ],
-    );
-    let _ = shared.self_addr.set(addr);
-
-    let accept = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("router-accept".into())
-            .spawn(move || {
-                for stream in listener.incoming() {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(stream) = stream else { continue };
-                    shared.metrics.connections.fetch_add(1, Ordering::Relaxed);
-                    shared
-                        .metrics
-                        .connections_active
-                        .fetch_add(1, Ordering::Relaxed);
-                    let shared = Arc::clone(&shared);
-                    let _ = std::thread::Builder::new()
-                        .name("router-conn".into())
-                        .spawn(move || {
-                            handle_client(&shared, stream);
-                            shared
-                                .metrics
-                                .connections_active
-                                .fetch_sub(1, Ordering::Relaxed);
-                        });
-                }
-            })?
-    };
-    let health = {
-        let shared = Arc::clone(&shared);
-        std::thread::Builder::new()
-            .name("router-health".into())
-            .spawn(move || health_loop(&shared))?
-    };
-    Ok(RouterHandle {
-        addr,
-        shared,
-        accept: Some(accept),
-        health: Some(health),
-    })
-}
-
-/// Probe every backend with a `stats` request each interval; a valid reply
-/// re-admits, a failure counts toward eviction.
-fn health_loop(shared: &Shared) {
-    let interval = shared.config.health_interval_ms;
-    if interval == 0 {
-        return;
-    }
-    let probe_line = r#"{"op":"stats","request_id":"router-health"}"#;
-    while !shared.stop.load(Ordering::SeqCst) {
-        for (idx, b) in shared.backends.iter().enumerate() {
-            let ok = Client::connect(&b.addr)
-                .and_then(|mut c| {
-                    c.set_read_timeout(Some(Duration::from_millis(
-                        shared.config.backend_timeout_ms.max(100),
-                    )))?;
-                    c.request_line(probe_line)
-                })
-                .is_ok();
-            if ok {
-                shared.note_success(idx);
-            } else {
-                shared.note_failure(idx);
-            }
-        }
-        // Sleep in short slices so shutdown is prompt.
-        let deadline = Instant::now() + Duration::from_millis(interval);
-        while Instant::now() < deadline && !shared.stop.load(Ordering::SeqCst) {
-            std::thread::sleep(Duration::from_millis(interval.min(25)));
-        }
-    }
-}
-
-/// One client connection: newline-delimited requests in, one reply line per
-/// request out, in order.
-fn handle_client(shared: &Shared, stream: TcpStream) {
-    // Every reply goes out in one `write` with its newline, and with Nagle
-    // off it leaves at once instead of waiting for the client's delayed ACK.
-    let _ = stream.set_nodelay(true);
-    let Ok(mut writer) = stream.try_clone() else {
-        return;
-    };
-    let reader = BufReader::new(stream);
-    // Backend connections are pooled per client connection: one persistent
-    // stream per backend, replaced on transport error.
-    let mut pool: HashMap<usize, Client> = HashMap::new();
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let started = Instant::now();
-        let parsed = sdlo_wire::parse(&line).ok();
-        let op = parsed
-            .as_ref()
-            .and_then(|v| v.get("op"))
-            .and_then(Value::as_str)
-            .unwrap_or("");
-        let op_stats = shared.metrics.op(sdlo_service::ops::find(op).0);
-        // Adopt the client's trace context when it sent one; otherwise the
-        // router is the trace root and mints the fleet-wide id itself (only
-        // when a collector is installed — untraced routers stay silent).
-        let incoming = parsed.as_ref().and_then(api::request_trace);
-        let span = sdlo_trace::span_with_parent(
-            "router.request",
-            incoming.as_ref().and_then(|t| t.parent_span),
-        );
-        span.attr("op", op);
-        let trace_id = match (&incoming, span.id()) {
-            (Some(t), _) => t.trace_id.clone(),
-            (None, Some(_)) => format!("{:016x}", shared.next_jitter()),
-            (None, None) => String::new(),
-        };
-        if !trace_id.is_empty() {
-            span.attr("trace_id", trace_id.as_str());
-        }
-
-        // Raw Prometheus scrape: plain text, then EOF — same transport
-        // behavior as a backend.
-        if op == "metrics"
-            && parsed
-                .as_ref()
-                .and_then(|v| v.get("raw"))
-                .and_then(Value::as_bool)
-                == Some(true)
-        {
-            let text = shared.prometheus();
-            op_stats.record(started.elapsed().as_micros() as u64, true);
-            let _ = writer.write_all(text.as_bytes());
-            let _ = writer.flush();
-            break;
-        }
-        // Shutdown stops the router itself (backends are managed out of
-        // band). Same transport-side reply shape as a backend.
-        if op == "shutdown" {
-            shared.stop.store(true, Ordering::SeqCst);
-            if let Some(addr) = shared.self_addr.get() {
-                let _ = TcpStream::connect(addr);
-            }
-            let mut text = Value::obj(vec![
-                ("v", Value::from(api::PROTOCOL_VERSION)),
-                ("ok", Value::from(true)),
-                ("stopping", Value::from(true)),
-            ])
-            .render();
-            text.push('\n');
-            let _ = writer.write_all(text.as_bytes());
-            break;
-        }
-
-        // Aggregated observability is answered by the router; everything
-        // else forwards (with the router's trace context spliced in when a
-        // collector is recording, so backend spans parent under our root).
-        let mut fwd = ForwardInfo::default();
-        let (mut reply, ok) = match op {
-            "stats" => local_reply(shared, parsed.as_ref(), shared.stats_body()),
-            "metrics" => local_reply(
-                shared,
-                parsed.as_ref(),
-                vec![
-                    ("content_type", Value::from("text/plain; version=0.0.4")),
-                    ("text", Value::from(shared.prometheus())),
-                ],
-            ),
-            "debug" => local_debug(shared, parsed.as_ref()),
-            _ => {
-                let wire_line = traced_line(&line, &trace_id, span.id());
-                forward(
-                    shared,
-                    parsed.as_ref(),
-                    &wire_line,
-                    &mut pool,
-                    started,
-                    &mut fwd,
-                )
-            }
-        };
-        if let Some(idx) = fwd.backend {
-            span.attr("backend", shared.backends[idx].addr.as_str());
-        }
-        span.attr("failovers", u64::from(fwd.failovers));
-        span.attr("retries", u64::from(fwd.retries));
-        let total_micros = started.elapsed().as_micros() as u64;
-        op_stats.record(total_micros, ok);
-        let root_span = span.id();
-        drop(span);
-        let status = if ok {
-            "ok".to_string()
-        } else {
-            sdlo_wire::parse(&reply)
-                .ok()
-                .and_then(|r| {
-                    r.path(&["error", "kind"])
-                        .and_then(Value::as_str)
-                        .map(str::to_string)
-                })
-                .unwrap_or_else(|| "error".to_string())
-        };
-        let canon_hash = match parsed.as_ref().map(api::routing_key) {
-            Some(RoutingKey::Shape(h)) => h,
-            _ => 0,
-        };
-        shared.flight.push(
-            FlightRecord {
-                op: op.to_string(),
-                canon_hash,
-                status,
-                exec_micros: total_micros,
-                total_micros,
-                retries: u64::from(fwd.retries),
-                failovers: u64::from(fwd.failovers),
-                request_id: parsed
-                    .as_ref()
-                    .and_then(|r| r.get("request_id"))
-                    .and_then(Value::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-                trace_id,
-                ..FlightRecord::default()
-            },
-            root_span,
-        );
-        reply.push('\n');
-        if writer.write_all(reply.as_bytes()).is_err() {
-            break;
-        }
-        if shared.stop.load(Ordering::SeqCst) {
-            break;
-        }
+            ("transport_errors", AttrValue::UInt(transport_errors)),
+            ("backends_up", AttrValue::UInt(up as u64)),
+        ]
     }
 }
 
@@ -739,181 +806,4 @@ fn traced_line<'a>(line: &'a str, trace_id: &str, parent_span: Option<u64>) -> C
     }
     out.push_str(rest);
     Cow::Owned(out)
-}
-
-/// The router answers `debug` itself: `trace_dump` exposes the router-side
-/// flight recorder (each backend serves its own over the same op).
-fn local_debug(shared: &Shared, request: Option<&Value>) -> (String, bool) {
-    let what = request
-        .and_then(|v| v.get("what"))
-        .and_then(Value::as_str)
-        .unwrap_or("trace_dump");
-    if what == "trace_dump" {
-        return local_reply(shared, request, api::flight_dump_body(&shared.flight));
-    }
-    let (id, request_id) = correlation(shared, request);
-    let err = ApiError::new(
-        ErrorKind::Schema,
-        format!("unknown debug query `{what}` (expected `trace_dump`)"),
-    );
-    (api::error_reply(id, &request_id, &err).render(), false)
-}
-
-/// A success reply built by the router itself (stats/metrics), with the
-/// standard envelope correlation.
-fn local_reply(
-    shared: &Shared,
-    request: Option<&Value>,
-    body: Vec<(&'static str, Value)>,
-) -> (String, bool) {
-    let (id, request_id) = correlation(shared, request);
-    (api::reply(id, &request_id, body).render(), true)
-}
-
-fn correlation(shared: &Shared, request: Option<&Value>) -> (Option<Value>, String) {
-    let id = request.and_then(|r| r.get("id")).cloned();
-    let request_id = request
-        .and_then(|r| r.get("request_id"))
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .unwrap_or_else(|| shared.next_request_id());
-    (id, request_id)
-}
-
-/// Forward one request line: walk the candidate backends, failing over on
-/// transport errors and (bounded, jittered) on `overloaded` replies. The
-/// reply is the backend's bytes untouched; only when every avenue is
-/// exhausted does the router synthesize an error envelope itself.
-fn forward(
-    shared: &Shared,
-    request: Option<&Value>,
-    line: &str,
-    pool: &mut HashMap<usize, Client>,
-    started: Instant,
-    info: &mut ForwardInfo,
-) -> (String, bool) {
-    let key = request.map(api::routing_key).unwrap_or(RoutingKey::Any);
-    let order = shared.candidates(key);
-    let deadline = started + Duration::from_millis(shared.config.retry_budget_ms);
-    let mut overload_retries = 0u32;
-    let mut last_overloaded: Option<String> = None;
-    // Hard bound on total attempts: every backend may be tried once per
-    // "round", with one extra round per allowed overload retry.
-    let attempt_cap = (order.len() as u32) * (shared.config.max_retries + 2);
-    let mut cursor = 0usize;
-
-    for attempt in 0..attempt_cap {
-        if attempt > 0 && Instant::now() >= deadline {
-            break;
-        }
-        // Next candidate: prefer admitted backends; when everything is
-        // marked down, try them anyway — probing is how they come back.
-        let idx = {
-            let n = order.len();
-            let pos = (0..n)
-                .map(|i| (cursor + i) % n)
-                .find(|p| shared.backends[order[*p]].is_up())
-                .unwrap_or(cursor % n);
-            cursor = pos + 1;
-            order[pos]
-        };
-        let backend = &shared.backends[idx];
-        let sent = Instant::now();
-        match try_backend(shared, idx, line, pool) {
-            Ok(text) => {
-                shared.note_success(idx);
-                info.backend = Some(idx);
-                backend.requests.fetch_add(1, Ordering::Relaxed);
-                backend
-                    .latency_sum_micros
-                    .fetch_add(sent.elapsed().as_micros() as u64, Ordering::Relaxed);
-                backend.latency_count.fetch_add(1, Ordering::Relaxed);
-                let reply = sdlo_wire::parse(&text).ok();
-                let ok = reply
-                    .as_ref()
-                    .and_then(|r| r.get("ok"))
-                    .and_then(Value::as_bool)
-                    .unwrap_or(false);
-                if ok {
-                    return (text, true);
-                }
-                backend.errors.fetch_add(1, Ordering::Relaxed);
-                let overloaded = reply
-                    .as_ref()
-                    .and_then(|r| r.path(&["error", "kind"]))
-                    .and_then(Value::as_str)
-                    == Some(ErrorKind::Overloaded.as_str());
-                if !overloaded {
-                    // Any other error is the request's real answer.
-                    return (text, false);
-                }
-                last_overloaded = Some(text);
-                if overload_retries >= shared.config.max_retries {
-                    break;
-                }
-                overload_retries += 1;
-                info.retries = overload_retries;
-                backend.retries.fetch_add(1, Ordering::Relaxed);
-                // Capped exponential backoff with ±50% jitter.
-                let base = shared.config.retry_base_ms << (overload_retries - 1).min(6);
-                let jitter = shared.next_jitter() % base.max(1);
-                std::thread::sleep(Duration::from_millis((base / 2 + jitter).min(200)));
-            }
-            Err(e) => {
-                backend.transport_errors.fetch_add(1, Ordering::Relaxed);
-                shared.note_failure(idx);
-                info.failovers += 1;
-                // Fail over immediately: the next candidate gets the
-                // request, the client never sees the dead backend.
-                sdlo_trace::log::warn(
-                    "router",
-                    "backend.failover",
-                    &[
-                        ("backend", AttrValue::Str(backend.addr.clone())),
-                        ("attempt", AttrValue::UInt(u64::from(attempt) + 1)),
-                        ("error", AttrValue::Str(e.to_string())),
-                    ],
-                );
-            }
-        }
-    }
-    // Exhausted: the last overloaded reply (already correlated by the
-    // backend) beats a synthesized envelope.
-    if let Some(text) = last_overloaded {
-        return (text, false);
-    }
-    shared.exhausted.fetch_add(1, Ordering::Relaxed);
-    let (id, request_id) = correlation(shared, request);
-    let err = ApiError::new(
-        ErrorKind::Overloaded,
-        "no backend available (all candidates failed or overloaded)",
-    );
-    (api::error_reply(id, &request_id, &err).render(), false)
-}
-
-/// One attempt against one backend over the pooled connection, reconnecting
-/// if the pool has none. Any transport error drops the pooled connection.
-fn try_backend(
-    shared: &Shared,
-    idx: usize,
-    line: &str,
-    pool: &mut HashMap<usize, Client>,
-) -> std::io::Result<String> {
-    let client = match pool.entry(idx) {
-        std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-        std::collections::hash_map::Entry::Vacant(e) => {
-            let client = Client::connect(&shared.backends[idx].addr)?;
-            client.set_read_timeout(Some(Duration::from_millis(
-                shared.config.backend_timeout_ms.max(100),
-            )))?;
-            e.insert(client)
-        }
-    };
-    match client.request_line(line) {
-        Ok(text) => Ok(text),
-        Err(e) => {
-            pool.remove(&idx);
-            Err(e)
-        }
-    }
 }

@@ -423,6 +423,45 @@ pub fn flight_dump_body(flight: &sdlo_trace::flight::FlightRecorder) -> Vec<(&'s
     ]
 }
 
+/// The `stats` reply body, shared by the service engine and the router: the
+/// metrics snapshot, the slowest request per op, `extra` (the engine's
+/// `cached_shapes`, the router's `router` section), the protocol version
+/// and the advertised ops. Key order is part of the wire format.
+pub fn stats_body(
+    metrics: &crate::metrics::Metrics,
+    flight: &sdlo_trace::flight::FlightRecorder,
+    extra: (&str, Value),
+) -> Vec<(&'static str, Value)> {
+    let Value::Object(mut snap) = metrics.snapshot() else {
+        unreachable!("snapshot is an object")
+    };
+    let slowest = flight
+        .slowest_per_op()
+        .into_iter()
+        .map(|(op, r)| {
+            (
+                op,
+                Value::obj(vec![
+                    ("total_micros", Value::from(r.total_micros)),
+                    ("request_id", Value::from(r.request_id.as_str())),
+                    ("trace_id", Value::from(r.trace_id.as_str())),
+                ]),
+            )
+        })
+        .collect();
+    snap.push(("slowest".to_string(), Value::Object(slowest)));
+    snap.push((extra.0.to_string(), extra.1));
+    snap.push((
+        "protocol_version".to_string(),
+        Value::from(PROTOCOL_VERSION),
+    ));
+    snap.push((
+        "ops".to_string(),
+        Value::Array(ops().iter().map(|o| Value::from(*o)).collect()),
+    ));
+    vec![("stats", Value::Object(snap))]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

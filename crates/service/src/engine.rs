@@ -55,6 +55,7 @@ use crate::diskcache::{DiskCache, DiskOutcome};
 use crate::metrics::Metrics;
 use crate::ops::revise::Session;
 use crate::ops::ServiceOp;
+use crate::server::{LineHandler, RequestMeta};
 use sdlo_core::model::MissModel;
 use sdlo_ir::canon::{canonicalize, Canonical};
 use sdlo_ir::programs::{builtin, BUILTIN_NAMES as BUILTINS};
@@ -156,17 +157,6 @@ pub struct Engine {
     req_seq: std::sync::atomic::AtomicU64,
 }
 
-/// Per-request facts the transport needs *after* the reply text exists: the
-/// flight-recorder ticket (to amend the write phase in), the request's root
-/// span (to parent fabricated phase spans under) and whether the reply
-/// carries an opt-in `timing` object the reactor should complete.
-#[derive(Debug, Clone, Copy)]
-pub struct RequestMeta {
-    pub flight_ticket: u64,
-    pub root_span: Option<u64>,
-    pub server_timing: bool,
-}
-
 /// What an op returns: the reply body fields in wire order, or an error on
 /// its way into the unified envelope.
 pub type OpResult = Result<Vec<(&'static str, Value)>, ApiError>;
@@ -206,14 +196,6 @@ impl Engine {
         }
     }
 
-    pub fn metrics(&self) -> Arc<Metrics> {
-        Arc::clone(&self.metrics)
-    }
-
-    pub fn flight(&self) -> Arc<FlightRecorder> {
-        Arc::clone(&self.flight)
-    }
-
     pub fn config(&self) -> &EngineConfig {
         &self.config
     }
@@ -222,40 +204,6 @@ impl Engine {
     /// single-line JSON response.
     pub fn handle_line(&self, line: &str) -> String {
         self.handle_line_timed(line, 0).0
-    }
-
-    /// Like [`Engine::handle_line`], but the transport reports how long the
-    /// line sat in the worker queue so the per-phase histograms, the opt-in
-    /// `timing` reply section and the flight record can attribute it. The
-    /// meta is `None` only for lines that failed to parse as JSON.
-    pub fn handle_line_timed(
-        &self,
-        line: &str,
-        queue_micros: u64,
-    ) -> (String, Option<RequestMeta>) {
-        let v = match sdlo_wire::parse(line) {
-            Ok(v) => v,
-            Err(e) => {
-                self.metrics
-                    .malformed
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let err = fail(ErrorKind::Malformed, e.to_string());
-                return (
-                    api::error_reply(None, &self.next_request_id(), &err).render(),
-                    None,
-                );
-            }
-        };
-        let (reply, meta) = self.handle_timed(&v, queue_micros);
-        (reply.render(), Some(meta))
-    }
-
-    /// Next server-generated request id.
-    pub(crate) fn next_request_id(&self) -> String {
-        let n = self
-            .req_seq
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        format!("req-{n:08x}")
     }
 
     /// Handle one parsed request document: parse → dispatch → encode.
@@ -507,13 +455,6 @@ impl Engine {
         }
     }
 
-    /// The full Prometheus text exposition, including the cache-size gauge
-    /// that lives outside [`Metrics`]. Used by the `metrics` op and by the
-    /// transport's raw-scrape path.
-    pub fn prometheus(&self) -> String {
-        self.metrics.prometheus(self.cache.len() as u64)
-    }
-
     // -- request validation helpers -----------------------------------------
 
     /// Grid-size cap: the schema checks already ran at parse time; the cap
@@ -580,6 +521,68 @@ impl Engine {
                 ),
             ))
         }
+    }
+}
+
+/// The daemon's transport serves the engine itself.
+impl LineHandler for Engine {
+    const COMPONENT: &'static str = "service";
+
+    /// [`Engine::handle_line`] with the time the line sat in the worker
+    /// queue, so the per-phase histograms, the opt-in `timing` reply
+    /// section and the flight record can attribute it. The meta is `None`
+    /// only for lines that failed to parse as JSON.
+    fn handle_line_timed(&self, line: &str, queue_micros: u64) -> (String, Option<RequestMeta>) {
+        let v = match sdlo_wire::parse(line) {
+            Ok(v) => v,
+            Err(e) => {
+                self.metrics
+                    .malformed
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let err = fail(ErrorKind::Malformed, e.to_string());
+                return (
+                    api::error_reply(None, &self.next_request_id(), &err).render(),
+                    None,
+                );
+            }
+        };
+        let (reply, meta) = self.handle_timed(&v, queue_micros);
+        (reply.render(), Some(meta))
+    }
+
+    fn metrics(&self) -> Arc<Metrics> {
+        Arc::clone(&self.metrics)
+    }
+
+    fn flight(&self) -> Arc<FlightRecorder> {
+        Arc::clone(&self.flight)
+    }
+
+    /// The full Prometheus text exposition, including the cache-size gauge
+    /// that lives outside [`Metrics`]. Used by the `metrics` op and by the
+    /// transport's raw-scrape path.
+    fn prometheus(&self) -> String {
+        self.metrics.prometheus(self.cache.len() as u64)
+    }
+
+    /// Next server-generated request id.
+    fn next_request_id(&self) -> String {
+        let n = self
+            .req_seq
+            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        format!("req-{n:08x}")
+    }
+
+    fn drain_fields(&self) -> Vec<(&'static str, AttrValue)> {
+        use std::sync::atomic::Ordering::Relaxed;
+        let hits = self.metrics.cache_hits.load(Relaxed);
+        let misses = self.metrics.cache_misses.load(Relaxed);
+        let hit_ratio = if hits + misses > 0 {
+            hits as f64 / (hits + misses) as f64
+        } else {
+            0.0
+        };
+        vec![("cache_hit_ratio", AttrValue::Float(hit_ratio))]
     }
 }
 

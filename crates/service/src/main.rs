@@ -14,6 +14,7 @@
 //! ring, `{"op":"debug"}` dumps them, and requests slower than
 //! `--slow-micros` capture their full span tree.
 
+use sdlo_service::server::LineHandler;
 use sdlo_service::{serve, EngineConfig, ServerConfig};
 
 fn usage() -> ! {

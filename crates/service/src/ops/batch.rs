@@ -8,6 +8,7 @@
 use crate::api::{self, ApiError, ErrorKind};
 use crate::engine::{Engine, OpResult};
 use crate::ops::{OpCtx, ServiceOp};
+use crate::server::LineHandler;
 use sdlo_wire::Value;
 use std::time::Duration;
 

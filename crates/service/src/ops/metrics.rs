@@ -4,6 +4,7 @@
 
 use crate::engine::{Engine, OpResult};
 use crate::ops::{OpCtx, ServiceOp};
+use crate::server::LineHandler;
 use sdlo_wire::Value;
 
 pub struct MetricsOp;

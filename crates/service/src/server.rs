@@ -1,5 +1,8 @@
-//! Newline-delimited-JSON TCP front end for the [`Engine`]: an
-//! **event-driven connection loop** feeding a **bounded worker pool**.
+//! Newline-delimited-JSON TCP transport: an **event-driven connection
+//! loop** feeding a **bounded worker pool**, generic over the
+//! [`LineHandler`] that answers each line. The daemon serves the
+//! [`Engine`]; `sdlo-router` serves its proxy on the same loop, so both
+//! get everything below from one implementation.
 //!
 //! ## Architecture
 //!
@@ -54,18 +57,19 @@
 //!
 //! Request lines are framed under a byte cap (oversized lines are
 //! discarded and answered with `too_large`; the connection survives),
-//! malformed JSON gets a structured error from the engine, a request that
-//! panics its op is answered with the `internal` error envelope by a worker
-//! that lives on (`sdlo_worker_panics_total` counts these), and
+//! malformed JSON gets a structured error from the engine, a request whose
+//! handler panics is answered with the `internal` error envelope by a
+//! worker that lives on (`sdlo_worker_panics_total` counts these), and
 //! `{"op":"metrics","raw":true}` is answered transport-side with the
 //! Prometheus text exposition itself (not JSON) followed by EOF, so
 //! `echo '{"op":"metrics","raw":true}' | nc host port` is a complete
 //! scrape.
 
 use crate::api::{self, ApiError, ErrorKind};
-use crate::engine::{Engine, EngineConfig, RequestMeta};
+use crate::engine::{Engine, EngineConfig};
 use crate::metrics::Metrics;
 use crate::poll::{self, PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
+use sdlo_trace::flight::FlightRecorder;
 use sdlo_trace::AttrValue;
 use sdlo_wire::Value;
 use std::collections::BTreeMap;
@@ -79,6 +83,45 @@ use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// What the transport serves: one request line in, one reply line out.
+/// The reactor and the workers read nothing else of their handler.
+pub trait LineHandler: Send + Sync + 'static {
+    /// The `component` of the transport's log records.
+    const COMPONENT: &'static str;
+
+    /// Answer one line that waited `queue_micros` for a worker. With a
+    /// [`RequestMeta`] the reactor accounts the write phase when the reply
+    /// is written.
+    fn handle_line_timed(&self, line: &str, queue_micros: u64) -> (String, Option<RequestMeta>);
+
+    /// The counters and histograms the transport updates.
+    fn metrics(&self) -> Arc<Metrics>;
+
+    /// The flight recorder the write phase amends and the drain flushes.
+    fn flight(&self) -> Arc<FlightRecorder>;
+
+    /// The Prometheus text a raw scrape answers with.
+    fn prometheus(&self) -> String;
+
+    /// A request id for a transport-side error envelope whose request
+    /// carried none.
+    fn next_request_id(&self) -> String;
+
+    /// The handler's own fields of the final `drain.summary` record.
+    fn drain_fields(&self) -> Vec<(&'static str, AttrValue)>;
+}
+
+/// Per-request facts the transport needs *after* the reply text exists: the
+/// flight-recorder ticket (to amend the write phase in), the request's root
+/// span (to parent fabricated phase spans under) and whether the reply
+/// carries an opt-in `timing` object the reactor should complete.
+#[derive(Debug, Clone, Copy)]
+pub struct RequestMeta {
+    pub flight_ticket: u64,
+    pub root_span: Option<u64>,
+    pub server_timing: bool,
+}
 
 /// Transport configuration wrapped around an [`EngineConfig`].
 #[derive(Debug, Clone)]
@@ -200,9 +243,9 @@ impl Wake {
 
 /// Handle to a running server; dropping it does *not* stop the server —
 /// call [`shutdown`](ServerHandle::shutdown) (or send `{"op":"shutdown"}`).
-pub struct ServerHandle {
+pub struct ServerHandle<H = Engine> {
     addr: SocketAddr,
-    engine: Arc<Engine>,
+    handler: Arc<H>,
     stop: Arc<AtomicBool>,
     wake: Arc<Wake>,
     reactor: Option<JoinHandle<()>>,
@@ -211,17 +254,19 @@ pub struct ServerHandle {
 }
 
 impl ServerHandle {
-    /// The actual bound address (resolves port 0).
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     pub fn engine(&self) -> Arc<Engine> {
-        Arc::clone(&self.engine)
+        Arc::clone(&self.handler)
     }
 
     pub fn metrics(&self) -> Arc<Metrics> {
-        self.engine.metrics()
+        self.handler.metrics()
+    }
+}
+
+impl<H: LineHandler> ServerHandle<H> {
+    /// The actual bound address (resolves port 0).
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
     }
 
     /// Whether a shutdown request has been received.
@@ -256,13 +301,22 @@ impl ServerHandle {
     }
 }
 
-/// Bind and serve. Returns once the listener is bound; all work happens on
-/// background threads.
+/// Bind and serve an [`Engine`] built from `config.engine`. Returns once
+/// the listener is bound; all work happens on background threads.
 pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
+    let engine = Arc::new(Engine::new(config.engine.clone()));
+    serve_with(config, engine)
+}
+
+/// Bind and serve `handler` with `config`'s transport settings (its
+/// `engine` field is not read).
+pub fn serve_with<H: LineHandler>(
+    config: ServerConfig,
+    handler: Arc<H>,
+) -> std::io::Result<ServerHandle<H>> {
     let listener = TcpListener::bind(&config.addr)?;
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let engine = Arc::new(Engine::new(config.engine.clone()));
     let stop = Arc::new(AtomicBool::new(false));
     let wake = Arc::new(Wake::new()?);
 
@@ -272,16 +326,16 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
         .map(|_| {
             let job_rx = Arc::clone(&job_rx);
-            let engine = Arc::clone(&engine);
+            let handler = Arc::clone(&handler);
             let done_tx = done_tx.clone();
             let wake = Arc::clone(&wake);
-            let metrics = engine.metrics();
+            let metrics = handler.metrics();
             std::thread::spawn(move || loop {
                 let job = match job_rx.lock().unwrap().recv() {
                     Ok(j) => j,
                     Err(_) => break,
                 };
-                let completion = run_job(&engine, &metrics, job);
+                let completion = run_job(&*handler, &metrics, job);
                 let _ = done_tx.send(completion);
                 wake.ring();
             })
@@ -291,17 +345,17 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
 
     let reactor = {
         let stop = Arc::clone(&stop);
-        let engine = Arc::clone(&engine);
+        let handler = Arc::clone(&handler);
         let wake = Arc::clone(&wake);
         let job_tx = job_tx.clone();
         let config = config.clone();
         Some(std::thread::spawn(move || {
-            Reactor::new(listener, engine, stop, wake, job_tx, done_rx, config).run();
+            Reactor::new(listener, handler, stop, wake, job_tx, done_rx, config).run();
         }))
     };
 
     sdlo_trace::log::info(
-        "service",
+        H::COMPONENT,
         "server.started",
         &[
             ("addr", AttrValue::Str(addr.to_string())),
@@ -311,7 +365,7 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     );
     Ok(ServerHandle {
         addr,
-        engine,
+        handler,
         stop,
         wake,
         reactor,
@@ -320,15 +374,15 @@ pub fn serve(config: ServerConfig) -> std::io::Result<ServerHandle> {
     })
 }
 
-/// One job on a worker. A panic inside the engine is caught here: the
+/// One job on a worker. A panic inside the handler is caught here: the
 /// request gets the `internal` error envelope under its own sequence
 /// number, and the worker goes on to the next job.
-fn run_job(engine: &Engine, metrics: &Metrics, job: Job) -> Completion {
+fn run_job<H: LineHandler>(handler: &H, metrics: &Metrics, job: Job) -> Completion {
     let picked_micros = sdlo_trace::now_micros();
     let queue_micros = picked_micros.saturating_sub(job.submitted_micros);
     metrics.queue_wait.observe_micros(queue_micros);
     let handled = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        engine.handle_line_timed(&job.line, queue_micros)
+        handler.handle_line_timed(&job.line, queue_micros)
     }));
     let (text, meta) = handled.unwrap_or_else(|payload| {
         metrics.worker_panics.fetch_add(1, Ordering::Relaxed);
@@ -338,13 +392,13 @@ fn run_job(engine: &Engine, metrics: &Metrics, job: Job) -> Completion {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_default();
         sdlo_trace::log::error(
-            "service",
+            H::COMPONENT,
             "worker.panic",
             &[("cause", AttrValue::Str(cause))],
         );
         let request = sdlo_wire::parse(&job.line).ok();
         let text = error_line(
-            engine,
+            handler,
             request.as_ref(),
             ErrorKind::Internal,
             "the request failed inside the server",
@@ -369,14 +423,19 @@ fn run_job(engine: &Engine, metrics: &Metrics, job: Job) -> Completion {
 /// failures. `id` and `request_id` are echoed when the offending line
 /// parsed far enough to carry them, so rejected clients can still
 /// correlate.
-fn error_line(engine: &Engine, request: Option<&Value>, kind: ErrorKind, message: &str) -> String {
+fn error_line<H: LineHandler>(
+    handler: &H,
+    request: Option<&Value>,
+    kind: ErrorKind,
+    message: &str,
+) -> String {
     let err = ApiError::new(kind, message);
     let id = request.and_then(|r| r.get("id")).cloned();
     let request_id = request
         .and_then(|r| r.get("request_id"))
         .and_then(Value::as_str)
         .map(str::to_string)
-        .unwrap_or_else(|| engine.next_request_id());
+        .unwrap_or_else(|| handler.next_request_id());
     api::error_reply(id, &request_id, &err).render()
 }
 
@@ -443,9 +502,9 @@ const WAKE_ENTRY: usize = 0;
 const LISTENER_ENTRY: usize = 1;
 const CONN_BASE: usize = 2;
 
-struct Reactor {
+struct Reactor<H> {
     listener: Option<TcpListener>,
-    engine: Arc<Engine>,
+    handler: Arc<H>,
     metrics: Arc<Metrics>,
     stop: Arc<AtomicBool>,
     wake: Arc<Wake>,
@@ -458,20 +517,20 @@ struct Reactor {
     fds: Vec<PollFd>,
 }
 
-impl Reactor {
+impl<H: LineHandler> Reactor<H> {
     fn new(
         listener: TcpListener,
-        engine: Arc<Engine>,
+        handler: Arc<H>,
         stop: Arc<AtomicBool>,
         wake: Arc<Wake>,
         job_tx: SyncSender<Job>,
         done_rx: Receiver<Completion>,
         config: ServerConfig,
-    ) -> Reactor {
-        let metrics = engine.metrics();
+    ) -> Reactor<H> {
+        let metrics = handler.metrics();
         Reactor {
             listener: Some(listener),
-            engine,
+            handler,
             metrics,
             stop,
             wake,
@@ -597,9 +656,9 @@ impl Reactor {
     }
 
     /// Flush the flight recorder and emit the final `drain.summary` record:
-    /// requests served, overloads, cache hit ratio. Slow captures still
-    /// retained at drain time get one record each — they would otherwise
-    /// die with the process.
+    /// requests served, overloads, the handler's own fields, flight counts.
+    /// Slow captures still retained at drain time get one record each —
+    /// they would otherwise die with the process.
     fn drain_summary(&self, draining_since: Instant, expired: bool) {
         use std::sync::atomic::Ordering::Relaxed;
         let served: u64 = self
@@ -607,17 +666,10 @@ impl Reactor {
             .ops()
             .map(|(_, s)| s.requests.load(Relaxed))
             .sum();
-        let hits = self.metrics.cache_hits.load(Relaxed);
-        let misses = self.metrics.cache_misses.load(Relaxed);
-        let hit_ratio = if hits + misses > 0 {
-            hits as f64 / (hits + misses) as f64
-        } else {
-            0.0
-        };
-        let flight = self.engine.flight();
+        let flight = self.handler.flight();
         for capture in flight.slow() {
             sdlo_trace::log::info(
-                "service",
+                H::COMPONENT,
                 "drain.slow_request",
                 &[
                     ("op", AttrValue::Str(capture.record.op.clone())),
@@ -629,25 +681,24 @@ impl Reactor {
                 ],
             );
         }
-        sdlo_trace::log::info(
-            "service",
-            "drain.summary",
-            &[
-                ("requests_served", AttrValue::UInt(served)),
-                (
-                    "overloads",
-                    AttrValue::UInt(self.metrics.rejected.load(Relaxed)),
-                ),
-                ("cache_hit_ratio", AttrValue::Float(hit_ratio)),
-                ("flight_recorded", AttrValue::UInt(flight.pushed())),
-                ("slow_captures", AttrValue::UInt(flight.slow().len() as u64)),
-                (
-                    "drain_millis",
-                    AttrValue::UInt(draining_since.elapsed().as_millis() as u64),
-                ),
-                ("timed_out", AttrValue::Bool(expired)),
-            ],
-        );
+        let mut fields = vec![
+            ("requests_served", AttrValue::UInt(served)),
+            (
+                "overloads",
+                AttrValue::UInt(self.metrics.rejected.load(Relaxed)),
+            ),
+        ];
+        fields.extend(self.handler.drain_fields());
+        fields.extend([
+            ("flight_recorded", AttrValue::UInt(flight.pushed())),
+            ("slow_captures", AttrValue::UInt(flight.slow().len() as u64)),
+            (
+                "drain_millis",
+                AttrValue::UInt(draining_since.elapsed().as_millis() as u64),
+            ),
+            ("timed_out", AttrValue::Bool(expired)),
+        ]);
+        sdlo_trace::log::info(H::COMPONENT, "drain.summary", &fields);
     }
 
     /// Accept every connection the listener has ready.
@@ -723,11 +774,11 @@ impl Reactor {
         let now = sdlo_trace::now_micros();
         let write_micros = now.saturating_sub(completion.done_micros);
         self.metrics.write.observe_micros(write_micros);
-        self.engine
+        self.handler
             .flight()
             .amend_write(meta.flight_ticket, write_micros);
         if meta.server_timing {
-            // The engine appended `timing` as the *last* body field, so the
+            // The handler appended `timing` as the *last* body field, so the
             // reply ends `…,"timing":{…}}` — splice the write phase in just
             // before the two closing braces.
             if completion.text.rfind("\"timing\":{").is_some() && completion.text.ends_with("}}") {
@@ -818,7 +869,7 @@ impl Reactor {
                 conn.acc.clear();
                 self.metrics.oversized.fetch_add(1, Ordering::Relaxed);
                 let text = error_line(
-                    &self.engine,
+                    &*self.handler,
                     None,
                     ErrorKind::TooLarge,
                     &format!("request line exceeds {cap} bytes"),
@@ -830,7 +881,7 @@ impl Reactor {
                 conn.acc.clear();
                 self.metrics.oversized.fetch_add(1, Ordering::Relaxed);
                 let text = error_line(
-                    &self.engine,
+                    &*self.handler,
                     None,
                     ErrorKind::TooLarge,
                     &format!("request line exceeds {cap} bytes"),
@@ -878,7 +929,7 @@ impl Reactor {
                     && v.get("raw").and_then(Value::as_bool) == Some(true)
                 {
                     let started = Instant::now();
-                    let text = self.engine.prometheus();
+                    let text = self.handler.prometheus();
                     let metrics_slot = crate::ops::find("metrics").0;
                     let micros = started.elapsed().as_micros() as u64;
                     self.metrics.op(metrics_slot).record(micros, true);
@@ -923,7 +974,7 @@ impl Reactor {
                 // to its request.
                 let parsed = sdlo_wire::parse(&job.line).ok();
                 let text = error_line(
-                    &self.engine,
+                    &*self.handler,
                     parsed.as_ref(),
                     ErrorKind::Overloaded,
                     "request queue is full, retry later",
