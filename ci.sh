@@ -12,6 +12,12 @@ echo "==> cargo clippy -D warnings (workspace crates, vendored shims excluded)"
 cargo clippy --workspace --exclude proptest --exclude criterion --exclude rayon \
     --all-targets -- -D warnings
 
+# Public docs must build without warnings: a broken or private intra-doc
+# link fails here.
+echo "==> cargo doc -D warnings (workspace crates, vendored shims excluded)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
+    --exclude proptest --exclude criterion --exclude rayon
+
 echo "==> cargo build --release"
 cargo build --workspace --release
 

@@ -47,7 +47,7 @@ use sdlo_service::api::{self, ApiError, ErrorKind, RoutingKey};
 use sdlo_service::client::Client;
 use sdlo_service::metrics::Metrics;
 use sdlo_service::server::{self, LineHandler, RequestMeta, ServerConfig, ServerHandle};
-use sdlo_trace::flight::{FlightRecord, FlightRecorder};
+use sdlo_trace::flight::{self, FlightRecord, FlightRecorder};
 use sdlo_trace::AttrValue;
 use sdlo_wire::Value;
 use std::borrow::Cow;
@@ -82,8 +82,6 @@ pub struct RouterConfig {
     pub fail_threshold: u32,
     /// Read timeout on backend connections.
     pub backend_timeout_ms: u64,
-    /// Flight-recorder ring size (last N proxied requests).
-    pub flight_capacity: usize,
     /// Requests slower than this (end-to-end, router-side) trigger a
     /// span-tree capture in the flight recorder. 0 disables captures.
     pub slow_threshold_micros: u64,
@@ -101,7 +99,6 @@ impl Default for RouterConfig {
             health_interval_ms: 200,
             fail_threshold: 2,
             backend_timeout_ms: 10_000,
-            flight_capacity: 256,
             slow_threshold_micros: 100_000,
         }
     }
@@ -181,7 +178,7 @@ impl Proxy {
             jitter: AtomicU64::new(0x243f_6a88_85a3_08d3),
             req_seq: AtomicU64::new(1),
             flight: Arc::new(FlightRecorder::new(
-                config.flight_capacity,
+                flight::CAPACITY,
                 config.slow_threshold_micros,
             )),
             config,
@@ -274,47 +271,43 @@ impl Proxy {
     /// The router answers `debug` itself: `trace_dump` exposes the
     /// router-side flight recorder (each backend serves its own over the
     /// same op).
-    fn local_debug(&self, request: Option<&Value>) -> (String, bool) {
+    fn debug_body(&self, request: Option<&Value>) -> Result<Vec<(&'static str, Value)>, ApiError> {
         let what = request
             .and_then(|v| v.get("what"))
             .and_then(Value::as_str)
             .unwrap_or("trace_dump");
-        if what == "trace_dump" {
-            return self.local_reply(request, api::flight_dump_body(&self.flight));
+        if what != "trace_dump" {
+            return Err(ApiError::new(
+                ErrorKind::Schema,
+                format!("unknown debug query `{what}` (expected `trace_dump`)"),
+            ));
         }
-        let (id, request_id) = self.correlation(request);
-        let err = ApiError::new(
-            ErrorKind::Schema,
-            format!("unknown debug query `{what}` (expected `trace_dump`)"),
-        );
-        (api::error_reply(id, &request_id, &err).render(), false)
+        Ok(api::flight_dump_body(&self.flight))
     }
 
-    /// A success reply built by the router itself (stats/metrics), with the
-    /// standard envelope correlation.
-    fn local_reply(
+    /// A reply built by the router itself, correlated with `request`, and
+    /// its flight-record status.
+    fn local(
         &self,
         request: Option<&Value>,
-        body: Vec<(&'static str, Value)>,
-    ) -> (String, bool) {
-        let (id, request_id) = self.correlation(request);
-        (api::reply(id, &request_id, body).render(), true)
-    }
-
-    fn correlation(&self, request: Option<&Value>) -> (Option<Value>, String) {
-        let id = request.and_then(|r| r.get("id")).cloned();
-        let request_id = request
-            .and_then(|r| r.get("request_id"))
-            .and_then(Value::as_str)
-            .map(str::to_string)
-            .unwrap_or_else(|| self.next_request_id());
-        (id, request_id)
+        outcome: Result<Vec<(&'static str, Value)>, ApiError>,
+    ) -> (String, String) {
+        let (id, request_id) = api::correlation(request, || self.next_request_id());
+        match outcome {
+            Ok(body) => (api::reply(id, &request_id, body).render(), "ok".into()),
+            Err(e) => (
+                api::error_reply(id, &request_id, &e).render(),
+                e.kind.as_str().into(),
+            ),
+        }
     }
 
     /// Forward one request line: walk the candidate backends, failing over on
     /// transport errors and (bounded, jittered) on `overloaded` replies. The
     /// reply is the backend's bytes untouched; only when every avenue is
     /// exhausted does the router synthesize an error envelope itself.
+    /// Returns the reply and its flight-record status: `ok` or the error
+    /// kind, read off the one parse of the backend's reply.
     fn forward(
         &self,
         request: Option<&Value>,
@@ -322,7 +315,7 @@ impl Proxy {
         line: &str,
         started: Instant,
         info: &mut ForwardInfo,
-    ) -> (String, bool) {
+    ) -> (String, String) {
         let order = self.candidates(key);
         let deadline = started + Duration::from_millis(self.config.retry_budget_ms);
         let mut overload_retries = 0u32;
@@ -359,23 +352,23 @@ impl Proxy {
                         .fetch_add(sent.elapsed().as_micros() as u64, Ordering::Relaxed);
                     backend.latency_count.fetch_add(1, Ordering::Relaxed);
                     let reply = sdlo_wire::parse(&text).ok();
-                    let ok = reply
+                    if reply
                         .as_ref()
                         .and_then(|r| r.get("ok"))
                         .and_then(Value::as_bool)
-                        .unwrap_or(false);
-                    if ok {
-                        return (text, true);
+                        == Some(true)
+                    {
+                        return (text, "ok".into());
                     }
                     backend.errors.fetch_add(1, Ordering::Relaxed);
-                    let overloaded = reply
+                    let kind = reply
                         .as_ref()
                         .and_then(|r| r.path(&["error", "kind"]))
                         .and_then(Value::as_str)
-                        == Some(ErrorKind::Overloaded.as_str());
-                    if !overloaded {
+                        .unwrap_or("error");
+                    if kind != ErrorKind::Overloaded.as_str() {
                         // Any other error is the request's real answer.
-                        return (text, false);
+                        return (text, kind.to_string());
                     }
                     last_overloaded = Some(text);
                     if overload_retries >= self.config.max_retries {
@@ -410,15 +403,14 @@ impl Proxy {
         // Exhausted: the last overloaded reply (already correlated by the
         // backend) beats a synthesized envelope.
         if let Some(text) = last_overloaded {
-            return (text, false);
+            return (text, ErrorKind::Overloaded.as_str().into());
         }
         self.exhausted.fetch_add(1, Ordering::Relaxed);
-        let (id, request_id) = self.correlation(request);
         let err = ApiError::new(
             ErrorKind::Overloaded,
             "no backend available (all candidates failed or overloaded)",
         );
-        (api::error_reply(id, &request_id, &err).render(), false)
+        self.local(request, Err(err))
     }
 
     /// One attempt against one backend on an idle connection, or a new one
@@ -616,16 +608,16 @@ impl LineHandler for Proxy {
         // else forwards (with the router's trace context spliced in when a
         // collector is recording, so backend spans parent under our root).
         let mut fwd = ForwardInfo::default();
-        let (reply, ok) = match op {
-            "stats" => self.local_reply(parsed.as_ref(), self.stats_body()),
-            "metrics" => self.local_reply(
+        let (reply, status) = match op {
+            "stats" => self.local(parsed.as_ref(), Ok(self.stats_body())),
+            "metrics" => self.local(
                 parsed.as_ref(),
-                vec![
+                Ok(vec![
                     ("content_type", Value::from("text/plain; version=0.0.4")),
                     ("text", Value::from(self.prometheus())),
-                ],
+                ]),
             ),
-            "debug" => self.local_debug(parsed.as_ref()),
+            "debug" => self.local(parsed.as_ref(), self.debug_body(parsed.as_ref())),
             _ => {
                 let wire_line = traced_line(line, &trace_id, span.id());
                 self.forward(parsed.as_ref(), key, &wire_line, started, &mut fwd)
@@ -637,22 +629,10 @@ impl LineHandler for Proxy {
         span.attr("failovers", u64::from(fwd.failovers));
         span.attr("retries", u64::from(fwd.retries));
         let exec_micros = started.elapsed().as_micros() as u64;
-        op_stats.record(exec_micros, ok);
+        op_stats.record(exec_micros, status == "ok");
         self.metrics.exec.observe_micros(exec_micros);
         let root_span = span.id();
         drop(span);
-        let status = if ok {
-            "ok".to_string()
-        } else {
-            sdlo_wire::parse(&reply)
-                .ok()
-                .and_then(|r| {
-                    r.path(&["error", "kind"])
-                        .and_then(Value::as_str)
-                        .map(str::to_string)
-                })
-                .unwrap_or_else(|| "error".to_string())
-        };
         let flight_ticket = self.flight.push(
             FlightRecord {
                 op: op.to_string(),

@@ -1,18 +1,26 @@
-//! The versioned protocol layer: envelope, error vocabulary, routing and
-//! reply builders.
+//! The versioned protocol layer: envelope, error vocabulary, program
+//! resolution, routing and reply builders.
 //!
 //! Every request line decodes **once** into an [`Envelope`] (the fields
 //! every request shares: `v`, `id`, `request_id`, `op`); the engine then
 //! resolves the op against the [`crate::ops`] registry — one module per op,
 //! each owning its own schema — and every reply is built by [`reply`] /
-//! [`error_reply`] (thin wrappers over the fleet-shared
-//! [`sdlo_wire::envelope`] builders) so success and failure share one
-//! envelope shape:
+//! [`error_reply`], the one definition of the envelope's pinned field
+//! order, so success and failure share one shape in every process of the
+//! fleet (service backends and the router alike):
 //!
 //! ```text
 //! {"id":…, "request_id":"…", "v":1, "ok":true,  …body…}
 //! {"id":…, "request_id":"…", "v":1, "ok":false, "error":{"kind":…, "message":…}}
 //! ```
+//!
+//! `id` is present only when the request carried one. Replies built
+//! outside the engine's own parse — transport errors, the shutdown
+//! acknowledgement, the router's own replies, a batch sub-request past the
+//! deadline — take their `id` and `request_id` from [`correlation`].
+//!
+//! Builtin program names resolve through one per-process table (`builtin`),
+//! which the ops and [`routing_key`] share.
 //!
 //! ## Versioning
 //!
@@ -23,12 +31,15 @@
 //! can probe for support safely. `stats` advertises `protocol_version` and
 //! the supported [`ops`].
 
+use sdlo_ir::canon::{canonicalize, Canonical};
+use sdlo_ir::programs::BUILTIN_NAMES;
 use sdlo_ir::Program;
 use sdlo_symbolic::Bindings;
 use sdlo_tilesearch::SearchSpace;
 use sdlo_wire::{
     bindings_from_value, program_from_value, program_from_value_unchecked, Value, WireError,
 };
+use std::sync::{Arc, OnceLock};
 
 /// The (single) protocol version this build speaks.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -154,21 +165,30 @@ pub struct Envelope {
     pub server_timing: bool,
 }
 
-/// A program reference: a builtin name (resolved against the engine's
-/// precomputed table) or a validated inline program.
+/// A program reference: a builtin name (resolved against the builtin
+/// table) or an inline program, validated unless the op decoded it for
+/// `lint`.
 #[derive(Debug)]
 pub enum ProgramSpec {
     Builtin(String),
     Inline(Program),
 }
 
-/// Like [`ProgramSpec`] but inline programs skip [`Program::validate`]:
-/// structural problems are exactly what lint's `structure` diagnostic
-/// reports.
-#[derive(Debug)]
-pub enum LintSpec {
-    Builtin(String),
-    Inline(Program),
+/// A request's program together with its canonicalization.
+#[derive(Clone)]
+pub struct Resolved {
+    pub program: Arc<Program>,
+    pub canonical: Arc<Canonical>,
+}
+
+impl Resolved {
+    /// Canonicalize `program`: the one canonicalization walk it gets.
+    pub(crate) fn new(program: Program) -> Resolved {
+        Resolved {
+            canonical: Arc::new(canonicalize(&program)),
+            program: Arc::new(program),
+        }
+    }
 }
 
 /// Extract the shared request fields. The envelope always comes back, even
@@ -236,16 +256,47 @@ fn trace_context(v: &Value) -> Option<TraceContext> {
 }
 
 /// Decode a request's `program` field (builtin name or inline object).
-/// Shared by every program-bearing op module.
-pub(crate) fn program_spec(request: &Value) -> Result<ProgramSpec, ApiError> {
+/// Shared by every program-bearing op module. `lint` passes
+/// `validate: false`: structural problems are exactly what its `structure`
+/// diagnostic reports.
+pub(crate) fn program_spec(request: &Value, validate: bool) -> Result<ProgramSpec, ApiError> {
     let spec = request
         .get("program")
         .ok_or_else(|| schema("missing `program` field"))?;
     if let Some(name) = spec.as_str() {
         Ok(ProgramSpec::Builtin(name.to_string()))
-    } else {
+    } else if validate {
         Ok(ProgramSpec::Inline(program_from_value(spec)?))
+    } else {
+        Ok(ProgramSpec::Inline(program_from_value_unchecked(spec)?))
     }
+}
+
+/// The builtin program `name`, resolved once per process: a named program
+/// never changes, so requests that name one pay neither its construction
+/// nor the canonicalization walk. The ops and [`routing_key`] all read
+/// this one table.
+pub(crate) fn builtin(name: &str) -> Result<&'static Resolved, ApiError> {
+    static TABLE: OnceLock<Vec<(&'static str, Resolved)>> = OnceLock::new();
+    let table = TABLE.get_or_init(|| {
+        BUILTIN_NAMES
+            .iter()
+            .map(|n| {
+                let program = sdlo_ir::programs::builtin(n).expect("listed builtin exists");
+                (*n, Resolved::new(program))
+            })
+            .collect()
+    });
+    table
+        .iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, r)| r)
+        .ok_or_else(|| {
+            schema(format!(
+                "unknown builtin program `{name}` (expected one of {})",
+                BUILTIN_NAMES.join(", ")
+            ))
+        })
 }
 
 pub(crate) fn bindings(request: &Value) -> Result<Bindings, ApiError> {
@@ -264,8 +315,8 @@ pub(crate) fn cache_elements(request: &Value) -> Result<u64, ApiError> {
 }
 
 /// Grid points this space spans: candidates per dimension are the powers of
-/// two in `[min, max]`, i.e. ~log₂(max/min)+1 values. The engine compares
-/// this against its configured `max_search_points`.
+/// two in `[min, max]`, i.e. ~log₂(max/min)+1 values. `advise` caps it at
+/// `max_search_points`.
 pub fn grid_points(space: &SearchSpace) -> u64 {
     let mut points = 1u64;
     for m in &space.max {
@@ -289,8 +340,8 @@ pub enum RoutingKey {
 }
 
 /// Extract the routing key from one request document without touching the
-/// engine: builtin names resolve through a precomputed canonical-hash
-/// table, inline programs are canonicalized here, and a `batch` routes by
+/// engine: builtin names resolve through the builtin table the ops read,
+/// inline programs are canonicalized here, and a `batch` routes by
 /// its first program-bearing sub-request (keeping whole batches on one
 /// backend, which preserves their single-reply shape).
 ///
@@ -315,57 +366,69 @@ pub fn routing_key(request: &Value) -> RoutingKey {
 
 fn program_routing_key(spec: &Value) -> RoutingKey {
     if let Some(name) = spec.as_str() {
-        return match builtin_shape_hash(name) {
-            Some(h) => RoutingKey::Shape(h),
-            None => RoutingKey::Any,
+        return match builtin(name) {
+            Ok(r) => RoutingKey::Shape(r.canonical.hash),
+            Err(_) => RoutingKey::Any,
         };
     }
     // Unchecked decode on purpose: canonicalization only needs the tree
     // shape, and a program that fails full validation must still route
     // *somewhere* to receive its error reply.
     match program_from_value_unchecked(spec) {
-        Ok(p) => RoutingKey::Shape(sdlo_ir::canon::canonicalize(&p).hash),
+        Ok(p) => RoutingKey::Shape(canonicalize(&p).hash),
         Err(_) => RoutingKey::Any,
     }
 }
 
-/// Canonical hashes of the builtin programs, computed once per process.
-fn builtin_shape_hash(name: &str) -> Option<u64> {
-    static TABLE: std::sync::OnceLock<Vec<(&'static str, u64)>> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        sdlo_ir::programs::BUILTIN_NAMES
-            .iter()
-            .map(|n| {
-                let p = sdlo_ir::programs::builtin(n).expect("listed builtin exists");
-                (*n, sdlo_ir::canon::canonicalize(&p).hash)
-            })
-            .collect()
-    });
-    table.iter().find(|(n, _)| *n == name).map(|(_, h)| *h)
-}
-
 // -- reply builders ----------------------------------------------------------
-//
-// Thin wrappers over the fleet-shared [`sdlo_wire::envelope`] builders:
-// this process contributes only its protocol version and its error-kind
-// vocabulary; the pinned field order has exactly one definition, in
-// `sdlo-wire`.
+
+/// The `id` and `request_id` a reply to `request` echoes: the request's own
+/// when it carries them, else no `id` and `next_request_id()`. The one
+/// correlation rule for replies built outside the engine's own parse.
+pub fn correlation(
+    request: Option<&Value>,
+    next_request_id: impl FnOnce() -> String,
+) -> (Option<Value>, String) {
+    let id = request.and_then(|r| r.get("id")).cloned();
+    let request_id = request
+        .and_then(|r| r.get("request_id"))
+        .and_then(Value::as_str)
+        .map_or_else(next_request_id, str::to_string);
+    (id, request_id)
+}
 
 /// A success reply: `{"id":…, "request_id":…, "v":1, "ok":true, …body…}`.
 pub fn reply(id: Option<Value>, request_id: &str, body: Vec<(&'static str, Value)>) -> Value {
-    sdlo_wire::envelope::reply(id, request_id, PROTOCOL_VERSION, body)
+    envelope(id, request_id, true, body)
 }
 
 /// The unified error envelope:
 /// `{"id":…, "request_id":…, "v":1, "ok":false, "error":{"kind":…, "message":…}}`.
 pub fn error_reply(id: Option<Value>, request_id: &str, error: &ApiError) -> Value {
-    sdlo_wire::envelope::error_reply(
-        id,
-        request_id,
-        PROTOCOL_VERSION,
-        error.kind.as_str(),
-        &error.message,
-    )
+    let error = Value::obj(vec![
+        ("kind", Value::from(error.kind.as_str())),
+        ("message", Value::from(error.message.as_str())),
+    ]);
+    envelope(id, request_id, false, vec![("error", error)])
+}
+
+/// The envelope prefix `id?`, `request_id`, `v`, `ok` — in exactly that
+/// order, which is part of the wire format — then `body` in the order given.
+fn envelope(
+    id: Option<Value>,
+    request_id: &str,
+    ok: bool,
+    body: Vec<(&'static str, Value)>,
+) -> Value {
+    let mut fields = Vec::with_capacity(body.len() + 4);
+    if let Some(id) = id {
+        fields.push(("id".to_string(), id));
+    }
+    fields.push(("request_id".to_string(), Value::from(request_id)));
+    fields.push(("v".to_string(), Value::from(PROTOCOL_VERSION)));
+    fields.push(("ok".to_string(), Value::from(ok)));
+    fields.extend(body.into_iter().map(|(k, v)| (k.to_string(), v)));
+    Value::Object(fields)
 }
 
 /// Encode one flight-recorder record for `debug` / `stats` replies. Key

@@ -49,22 +49,21 @@
 //! (`service.request`) so daemon traces correlate with client logs, and is
 //! present on error replies too.
 
-use crate::api::{self, fail, ApiError, Envelope, ErrorKind, ProgramSpec, RoutingKey};
+use crate::api::{self, fail, ApiError, ErrorKind, Resolved};
 use crate::cache::ShardedCache;
 use crate::diskcache::{DiskCache, DiskOutcome};
 use crate::metrics::Metrics;
 use crate::ops::revise::Session;
-use crate::ops::ServiceOp;
+use crate::ops::{OpCtx, ServiceOp};
 use crate::server::{LineHandler, RequestMeta};
 use sdlo_core::model::MissModel;
 use sdlo_ir::canon::{canonicalize, Canonical};
-use sdlo_ir::programs::{builtin, BUILTIN_NAMES as BUILTINS};
 use sdlo_ir::Program;
 use sdlo_symbolic::{Bindings, Sym};
-use sdlo_tilesearch::SearchSpace;
-use sdlo_trace::flight::{FlightRecord, FlightRecorder};
+use sdlo_trace::flight::{self, FlightRecord, FlightRecorder};
 use sdlo_trace::AttrValue;
 use sdlo_wire::Value;
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
@@ -76,10 +75,6 @@ pub struct EngineConfig {
     pub cache_shards: usize,
     /// Total cached shapes.
     pub cache_capacity: usize,
-    /// Maximum sub-requests in one `batch`.
-    pub max_batch: usize,
-    /// Maximum tile-search grid points per `advise`.
-    pub max_search_points: usize,
     /// Soft wall-clock budget for one request; `batch` stops dispatching
     /// new sub-requests past it.
     pub max_request_millis: u64,
@@ -91,8 +86,6 @@ pub struct EngineConfig {
     /// every freshly built model is persisted — so a restarted process
     /// warm-starts without rebuilding any previously-seen shape.
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Request slots in the always-on flight recorder (`debug` op).
-    pub flight_capacity: usize,
     /// Requests slower than this total (µs) get their span tree captured by
     /// the flight recorder. 0 disables slow captures.
     pub slow_threshold_micros: u64,
@@ -103,12 +96,9 @@ impl Default for EngineConfig {
         EngineConfig {
             cache_shards: 8,
             cache_capacity: 256,
-            max_batch: 1024,
-            max_search_points: 65_536,
             max_request_millis: 30_000,
             enable_test_ops: false,
             cache_dir: None,
-            flight_capacity: 256,
             slow_threshold_micros: 100_000,
         }
     }
@@ -131,16 +121,6 @@ impl CachedModel {
             session: Mutex::new(None),
         }
     }
-}
-
-/// A request's program together with its canonicalization. Builtin names
-/// resolve to a per-process table so steady-state requests skip the
-/// canonicalization walk entirely; inline programs are canonicalized per
-/// request.
-#[derive(Clone)]
-pub struct Resolved {
-    pub program: Arc<Program>,
-    pub canonical: Arc<Canonical>,
 }
 
 /// The tile-advisor engine. Cheap to share (`Arc<Engine>`); all state is
@@ -183,7 +163,7 @@ impl Engine {
         let cache = ShardedCache::new(config.cache_shards, config.cache_capacity);
         let disk = config.cache_dir.clone().map(DiskCache::new);
         let flight = Arc::new(FlightRecorder::new(
-            config.flight_capacity,
+            flight::CAPACITY,
             config.slow_threshold_micros,
         ));
         Engine {
@@ -232,8 +212,15 @@ impl Engine {
             span.attr("trace_id", trace.trace_id.as_str());
         }
         let root_span = span.id();
+        let ctx = OpCtx {
+            request,
+            envelope: &envelope,
+            started,
+            canon_hash: Cell::new(0),
+        };
         let in_flight = InFlight::enter(&op_stats.in_flight);
-        let outcome = self.dispatch(op, request, &envelope, started);
+        let outcome = self.dispatch(op, &ctx);
+        let canon_hash = ctx.canon_hash.get();
         drop(in_flight);
         let micros = started.elapsed().as_micros() as u64;
         op_stats.record(micros, outcome.is_ok());
@@ -262,10 +249,6 @@ impl Engine {
                 api::reply(envelope.id, &request_id, body)
             }
             Err(e) => api::error_reply(envelope.id, &request_id, &e),
-        };
-        let canon_hash = match api::routing_key(request) {
-            RoutingKey::Shape(h) => h,
-            RoutingKey::Any => 0,
         };
         let flight_ticket = self.flight.push(
             FlightRecord {
@@ -298,13 +281,8 @@ impl Engine {
     /// Gate the version, then serve the op the registry resolved. The two
     /// failure modes that belong to no op — unsupported version and
     /// unknown/missing `op` — are produced here, never in an op module.
-    fn dispatch(
-        &self,
-        op: Option<&dyn ServiceOp>,
-        request: &Value,
-        envelope: &Envelope,
-        started: Instant,
-    ) -> OpResult {
+    fn dispatch(&self, op: Option<&dyn ServiceOp>, ctx: &OpCtx<'_>) -> OpResult {
+        let envelope = ctx.envelope;
         api::check_version(envelope)?;
         let Some(op) = op else {
             return Err(if envelope.op.is_empty() {
@@ -316,38 +294,10 @@ impl Engine {
                 )
             });
         };
-        op.serve(
-            self,
-            &crate::ops::OpCtx {
-                request,
-                envelope,
-                started,
-            },
-        )
+        op.serve(self, ctx)
     }
 
-    // -- program resolution + memoized analysis ----------------------------
-
-    pub(crate) fn resolve_spec(&self, spec: ProgramSpec) -> Result<Resolved, ApiError> {
-        match spec {
-            ProgramSpec::Builtin(name) => builtin_resolved(&name).ok_or_else(|| {
-                fail(
-                    ErrorKind::Schema,
-                    format!(
-                        "unknown builtin program `{name}` (expected one of {})",
-                        BUILTINS.join(", ")
-                    ),
-                )
-            }),
-            ProgramSpec::Inline(program) => {
-                let canonical = Arc::new(canonicalize(&program));
-                Ok(Resolved {
-                    program: Arc::new(program),
-                    canonical,
-                })
-            }
-        }
-    }
+    // -- memoized analysis ---------------------------------------------------
 
     /// Fetch (or build) the memoized model for an already-canonicalized
     /// program. This is the expensive middle every request funnels through.
@@ -456,22 +406,6 @@ impl Engine {
     }
 
     // -- request validation helpers -----------------------------------------
-
-    /// Grid-size cap: the schema checks already ran at parse time; the cap
-    /// is engine policy.
-    pub(crate) fn check_grid(&self, space: &SearchSpace) -> Result<(), ApiError> {
-        let points = api::grid_points(space);
-        if points > self.config.max_search_points as u64 {
-            return Err(fail(
-                ErrorKind::Limit,
-                format!(
-                    "search grid of {points} points exceeds max_search_points={}",
-                    self.config.max_search_points
-                ),
-            ));
-        }
-        Ok(())
-    }
 
     /// Every free symbol of the program must be bound, except `except`.
     pub(crate) fn require_bound(
@@ -586,36 +520,10 @@ impl LineHandler for Engine {
     }
 }
 
-/// Builtin programs and their canonical forms, computed once per process:
-/// a named program never changes, so steady-state requests that use builtin
-/// names pay neither construction nor the canonicalization walk.
-fn builtin_resolved(name: &str) -> Option<Resolved> {
-    static TABLE: std::sync::OnceLock<Vec<(&'static str, Resolved)>> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        BUILTINS
-            .iter()
-            .map(|n| {
-                let program = builtin(n).expect("listed builtin exists");
-                let canonical = Arc::new(canonicalize(&program));
-                (
-                    *n,
-                    Resolved {
-                        program: Arc::new(program),
-                        canonical,
-                    },
-                )
-            })
-            .collect()
-    });
-    table
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, r)| r.clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sdlo_ir::programs::builtin;
 
     fn engine() -> Engine {
         Engine::new(EngineConfig {

@@ -16,7 +16,8 @@
 //! Layers:
 //!
 //! * [`api`] — the versioned protocol layer: envelope, error vocabulary,
-//!   routing, reply builders (the unified error envelope),
+//!   the builtin-program table, routing, and the reply builders every
+//!   process of the fleet shares,
 //! * [`ops`] — the op registry: one module per protocol op behind a common
 //!   [`ops::ServiceOp`] trait; the registry table drives both dispatch and
 //!   the `stats.ops` advertisement,

@@ -10,6 +10,9 @@ use sdlo_tilesearch::{SearchBudget, SearchSpace, TileSearcher};
 use sdlo_wire::{outcome_to_value, Value};
 use std::time::{Duration, Instant};
 
+/// Maximum tile-search grid points per `advise`.
+const MAX_SEARCH_POINTS: u64 = 65_536;
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SearchMode {
     Pruned,
@@ -43,7 +46,7 @@ pub struct Advise {
 }
 
 pub(crate) fn parse(request: &Value) -> Result<Advise, ApiError> {
-    let program = api::program_spec(request)?;
+    let program = api::program_spec(request, true)?;
     let cache = api::cache_elements(request)?;
     let space = decode_space(request)?;
     let target = if let Some(bf) = request.get("bounds_free") {
@@ -148,6 +151,19 @@ fn decode_space(request: &Value) -> Result<SearchSpace, ApiError> {
     })
 }
 
+/// Grid-size cap: the schema checks already ran at parse time; the cap is
+/// service policy.
+fn check_grid(space: &SearchSpace) -> Result<(), ApiError> {
+    let points = api::grid_points(space);
+    if points > MAX_SEARCH_POINTS {
+        return Err(api::fail(
+            ErrorKind::Limit,
+            format!("search grid of {points} points exceeds max_search_points={MAX_SEARCH_POINTS}"),
+        ));
+    }
+    Ok(())
+}
+
 pub struct AdviseOp;
 
 impl ServiceOp for AdviseOp {
@@ -157,9 +173,9 @@ impl ServiceOp for AdviseOp {
 
     fn serve(&self, engine: &Engine, ctx: &OpCtx<'_>) -> OpResult {
         let request = parse(ctx.request)?;
-        let resolved = engine.resolve_spec(request.program)?;
+        let resolved = ctx.resolve(request.program)?;
         let program = &resolved.program;
-        engine.check_grid(&request.space)?;
+        check_grid(&request.space)?;
         let space = request.space;
         let (cached, hit) = engine.model_for(&resolved);
         let budget = SearchBudget {

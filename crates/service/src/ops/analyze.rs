@@ -12,7 +12,7 @@ struct Analyze {
 
 fn parse(request: &Value) -> Result<Analyze, ApiError> {
     Ok(Analyze {
-        program: api::program_spec(request)?,
+        program: api::program_spec(request, true)?,
     })
 }
 
@@ -25,7 +25,7 @@ impl ServiceOp for AnalyzeOp {
 
     fn serve(&self, engine: &Engine, ctx: &OpCtx<'_>) -> OpResult {
         let request = parse(ctx.request)?;
-        let resolved = engine.resolve_spec(request.program)?;
+        let resolved = ctx.resolve(request.program)?;
         let program = &resolved.program;
         let (cached, hit) = engine.model_for(&resolved);
         let name_of = Engine::original_name(program, &cached.canonical);

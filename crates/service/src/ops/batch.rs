@@ -4,13 +4,20 @@
 //! request order. A fan-out over threads lost on a 2-vCPU host: a batch of
 //! 4 cached predicts took 241–286 µs spread over the cores against 67–81 µs
 //! in order, because the worker already holds one of the two cores.
+//!
+//! A batch's own flight record carries the routing key the router sends
+//! it by: the hash of its first program-bearing sub-request. Each
+//! sub-request's own record carries its own hash.
 
-use crate::api::{self, ApiError, ErrorKind};
+use crate::api::{self, ApiError, ErrorKind, RoutingKey};
 use crate::engine::{Engine, OpResult};
 use crate::ops::{OpCtx, ServiceOp};
 use crate::server::LineHandler;
 use sdlo_wire::Value;
 use std::time::Duration;
+
+/// Maximum sub-requests in one `batch`.
+const MAX_BATCH: usize = 1024;
 
 #[derive(Debug)]
 struct Batch {
@@ -43,15 +50,14 @@ impl ServiceOp for BatchOp {
     }
 
     fn serve(&self, engine: &Engine, ctx: &OpCtx<'_>) -> OpResult {
+        if let RoutingKey::Shape(hash) = api::routing_key(ctx.request) {
+            ctx.canon_hash.set(hash);
+        }
         let items = parse(ctx.request)?.requests;
-        if items.len() > engine.config.max_batch {
+        if items.len() > MAX_BATCH {
             return Err(api::fail(
                 ErrorKind::Limit,
-                format!(
-                    "batch of {} exceeds max_batch={}",
-                    items.len(),
-                    engine.config.max_batch
-                ),
+                format!("batch of {} exceeds max_batch={MAX_BATCH}", items.len()),
             ));
         }
         let started = ctx.started;
@@ -64,11 +70,9 @@ impl ServiceOp for BatchOp {
                         ErrorKind::DeadlineExceeded,
                         "batch exceeded the request time budget",
                     );
-                    return api::error_reply(
-                        item.get("id").cloned(),
-                        &engine.next_request_id(),
-                        &err,
-                    );
+                    let (id, request_id) =
+                        api::correlation(Some(item), || engine.next_request_id());
+                    return api::error_reply(id, &request_id, &err);
                 }
                 engine.handle(item)
             })

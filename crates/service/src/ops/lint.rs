@@ -5,27 +5,10 @@
 //!
 //! [`Program::validate`]: sdlo_ir::Program::validate
 
-use crate::api::{self, ApiError, ErrorKind, LintSpec};
+use crate::api;
 use crate::engine::{Engine, OpResult};
 use crate::ops::{OpCtx, ServiceOp};
-use sdlo_ir::programs::{builtin, BUILTIN_NAMES as BUILTINS};
-use sdlo_wire::{diagnostic_to_value, program_from_value_unchecked, Value};
-
-struct Lint {
-    program: LintSpec,
-}
-
-fn parse(request: &Value) -> Result<Lint, ApiError> {
-    let spec = request
-        .get("program")
-        .ok_or_else(|| api::schema("missing `program` field"))?;
-    let program = if let Some(name) = spec.as_str() {
-        LintSpec::Builtin(name.to_string())
-    } else {
-        LintSpec::Inline(program_from_value_unchecked(spec)?)
-    };
-    Ok(Lint { program })
-}
+use sdlo_wire::{diagnostic_to_value, Value};
 
 pub struct LintOp;
 
@@ -36,28 +19,15 @@ impl ServiceOp for LintOp {
 
     fn serve(&self, engine: &Engine, ctx: &OpCtx<'_>) -> OpResult {
         use std::sync::atomic::Ordering::Relaxed;
-        let request = parse(ctx.request)?;
-        let program = match request.program {
-            LintSpec::Builtin(name) => builtin(&name).ok_or_else(|| {
-                api::fail(
-                    ErrorKind::Schema,
-                    format!(
-                        "unknown builtin program `{name}` (expected one of {})",
-                        BUILTINS.join(", ")
-                    ),
-                )
-            })?,
-            // Validation was deliberately skipped at parse time: structural
-            // problems are exactly what the `structure` diagnostic reports.
-            LintSpec::Inline(program) => program,
-        };
-        let diags = sdlo_analysis::lint(&program);
+        let resolved = ctx.resolve(api::program_spec(ctx.request, false)?)?;
+        let program = &*resolved.program;
+        let diags = sdlo_analysis::lint(program);
         let counts = sdlo_analysis::SeverityCounts::of(&diags);
         // Dependence info is only meaningful for structurally valid trees;
         // for the invalid inline programs `lint` deliberately accepts, the
         // `deps` field is null.
         let deps = match program.validate() {
-            Ok(()) => sdlo_wire::dep_summary_to_value(&sdlo_deps::analyze(&program).summary()),
+            Ok(()) => sdlo_wire::dep_summary_to_value(&sdlo_deps::analyze(program).summary()),
             Err(_) => Value::Null,
         };
         engine

@@ -3,7 +3,9 @@
 //! Each op implements [`ServiceOp`] — parse its own request schema out of
 //! the raw document, validate, execute against the [`Engine`], and return
 //! the reply body fields (the envelope itself is owned by
-//! [`crate::api::reply`] / [`crate::api::error_reply`]). The [`REGISTRY`]
+//! [`crate::api::reply`] / [`crate::api::error_reply`]). A program-bearing
+//! op resolves its program once, through [`OpCtx::resolve`], which also
+//! gives the request's flight record its canonical hash. The `REGISTRY`
 //! table drives the engine's dispatch, the `stats.ops` advertisement and
 //! the per-op metrics slots, so adding an op is: write the module, add one
 //! registry line. The version gate and the unknown-op error stay
@@ -25,9 +27,10 @@ pub mod revise;
 pub mod sleep;
 pub mod stats;
 
-use crate::api::Envelope;
+use crate::api::{self, ApiError, Envelope, ProgramSpec, Resolved};
 use crate::engine::{Engine, OpResult};
 use sdlo_wire::Value;
+use std::cell::Cell;
 use std::time::Instant;
 
 /// Everything an op gets to see about the request being served: the raw
@@ -38,6 +41,24 @@ pub struct OpCtx<'a> {
     pub request: &'a Value,
     pub envelope: &'a Envelope,
     pub started: Instant,
+    /// The canonical hash the request's flight record carries: set when the
+    /// op resolves its program, 0 if it never does.
+    pub(crate) canon_hash: Cell<u64>,
+}
+
+impl OpCtx<'_> {
+    /// Resolve the request's program: builtin names read the one builtin
+    /// table, inline programs are canonicalized here — the only
+    /// canonicalization the request pays. Records the hash for the
+    /// request's flight record.
+    pub(crate) fn resolve(&self, spec: ProgramSpec) -> Result<Resolved, ApiError> {
+        let resolved = match spec {
+            ProgramSpec::Builtin(name) => api::builtin(&name)?.clone(),
+            ProgramSpec::Inline(program) => Resolved::new(program),
+        };
+        self.canon_hash.set(resolved.canonical.hash);
+        Ok(resolved)
+    }
 }
 
 /// One protocol op: a name for the dispatcher plus the parse → validate →

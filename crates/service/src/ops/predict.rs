@@ -16,7 +16,7 @@ struct Predict {
 
 fn parse(request: &Value) -> Result<Predict, ApiError> {
     Ok(Predict {
-        program: api::program_spec(request)?,
+        program: api::program_spec(request, true)?,
         bindings: api::bindings(request)?,
         cache: api::cache_elements(request)?,
         per_array: request
@@ -35,7 +35,7 @@ impl ServiceOp for PredictOp {
 
     fn serve(&self, engine: &Engine, ctx: &OpCtx<'_>) -> OpResult {
         let request = parse(ctx.request)?;
-        let resolved = engine.resolve_spec(request.program)?;
+        let resolved = ctx.resolve(request.program)?;
         let program = &resolved.program;
         engine.require_bound(program, &request.bindings, &[])?;
         let (cached, hit) = engine.model_for(&resolved);

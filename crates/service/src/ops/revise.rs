@@ -91,7 +91,7 @@ fn parse(request: &Value) -> Result<Revise, ApiError> {
     )
     .map_err(|e| schema(e.to_string()))?;
     let program = match request.get("program") {
-        Some(_) => Some(api::program_spec(request)?),
+        Some(_) => Some(api::program_spec(request, true)?),
         None => None,
     };
     Ok(Revise {
@@ -150,7 +150,7 @@ impl ServiceOp for ReviseOp {
         let eval = |e: ModelError| api::fail(ErrorKind::Eval, e.to_string());
         let resolved = match request.program {
             Some(spec) => {
-                let resolved = engine.resolve_spec(spec)?;
+                let resolved = ctx.resolve(spec)?;
                 if resolved.canonical.hash != request.base {
                     return Err(schema(format!(
                         "`program` canonicalizes to `{:016x}`, which is not base `{:016x}`",

@@ -34,7 +34,7 @@
 //! structured `overloaded` error envelope — the client's `id` and
 //! `request_id` echoed — instead of stalling the socket (`stats.rejected`
 //! counts these). Per connection, the reactor stops reading while the
-//! write buffer is above [`ServerConfig::max_write_buffer`], so a client
+//! write buffer is above `MAX_WRITE_BUFFER` (4 MiB), so a client
 //! that pipelines faster than it drains responses is throttled by TCP flow
 //! control rather than ballooning server memory.
 //!
@@ -104,8 +104,8 @@ pub trait LineHandler: Send + Sync + 'static {
     /// The Prometheus text a raw scrape answers with.
     fn prometheus(&self) -> String;
 
-    /// A request id for a transport-side error envelope whose request
-    /// carried none.
+    /// A request id for a transport-side reply (an error envelope or the
+    /// shutdown acknowledgement) whose request carried none.
     fn next_request_id(&self) -> String;
 
     /// The handler's own fields of the final `drain.summary` record.
@@ -139,10 +139,6 @@ pub struct ServerConfig {
     pub queue: usize,
     /// Maximum accepted request line length in bytes.
     pub max_line_bytes: usize,
-    /// Per-connection write-buffer cap: the reactor stops reading new
-    /// requests from a connection whose unsent responses exceed this, so
-    /// TCP flow control throttles the client instead of server memory.
-    pub max_write_buffer: usize,
     /// Upper bound on how long a drain waits for in-flight requests before
     /// closing connections anyway.
     pub drain_timeout_ms: u64,
@@ -156,12 +152,16 @@ impl Default for ServerConfig {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
             queue: 64,
             max_line_bytes: 1 << 20,
-            max_write_buffer: 4 << 20,
             drain_timeout_ms: 10_000,
             engine: EngineConfig::default(),
         }
     }
 }
+
+/// Per-connection write-buffer cap: the reactor stops reading new requests
+/// from a connection whose unsent responses exceed this, so TCP flow
+/// control throttles the client instead of server memory.
+const MAX_WRITE_BUFFER: usize = 4 << 20;
 
 /// One request on its way to the worker pool.
 struct Job {
@@ -429,14 +429,8 @@ fn error_line<H: LineHandler>(
     kind: ErrorKind,
     message: &str,
 ) -> String {
-    let err = ApiError::new(kind, message);
-    let id = request.and_then(|r| r.get("id")).cloned();
-    let request_id = request
-        .and_then(|r| r.get("request_id"))
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .unwrap_or_else(|| handler.next_request_id());
-    api::error_reply(id, &request_id, &err).render()
+    let (id, request_id) = api::correlation(request, || handler.next_request_id());
+    api::error_reply(id, &request_id, &ApiError::new(kind, message)).render()
 }
 
 /// Per-connection state owned by the reactor.
@@ -613,7 +607,7 @@ impl<H: LineHandler> Reactor<H> {
             && !conn.read_closed
             && !conn.dead
             && !conn.close_after_flush
-            && conn.unsent() <= self.config.max_write_buffer
+            && conn.unsent() <= MAX_WRITE_BUFFER
     }
 
     /// Block until a socket the reactor has business with is ready, a
@@ -843,7 +837,7 @@ impl<H: LineHandler> Reactor<H> {
                 Ok(n) => {
                     self.ingest(slot, conn, &scratch[..n]);
                     // Stop reading the moment backpressure engages.
-                    if conn.unsent() > self.config.max_write_buffer || conn.close_after_flush {
+                    if conn.unsent() > MAX_WRITE_BUFFER || conn.close_after_flush {
                         break;
                     }
                 }
@@ -944,12 +938,10 @@ impl<H: LineHandler> Reactor<H> {
             if let Ok(v) = sdlo_wire::parse(&line) {
                 if v.get("op").and_then(Value::as_str) == Some("shutdown") {
                     self.stop.store(true, Ordering::SeqCst);
-                    let text = Value::obj(vec![
-                        ("v", Value::from(api::PROTOCOL_VERSION)),
-                        ("ok", Value::from(true)),
-                        ("stopping", Value::from(true)),
-                    ])
-                    .render();
+                    let (id, request_id) =
+                        api::correlation(Some(&v), || self.handler.next_request_id());
+                    let body = vec![("stopping", Value::from(true))];
+                    let text = api::reply(id, &request_id, body).render();
                     self.complete_inline(slot, conn, text, false);
                     return;
                 }

@@ -806,7 +806,13 @@ fn request_ids_correlate_over_loopback() {
 fn shutdown_request_stops_the_server() {
     let handle = start(small_server());
     let mut c = Client::connect(handle.addr()).unwrap();
-    let resp = c.shutdown().unwrap();
+    // The acknowledgement carries the full envelope, correlated like every
+    // other reply.
+    let resp = req(&mut c, r#"{"op":"shutdown","id":9,"request_id":"stop-1"}"#);
+    assert_eq!(
+        resp.render(),
+        r#"{"id":9,"request_id":"stop-1","v":1,"ok":true,"stopping":true}"#
+    );
     assert_eq!(resp.get("ok").unwrap().as_bool(), Some(true));
     assert_eq!(resp.get("stopping").unwrap().as_bool(), Some(true));
     // The accept loop observes the flag; shutdown() joins everything.

@@ -318,6 +318,90 @@ fn debug_trace_dump_reply_keys_are_stable() {
     );
 }
 
+/// Each request's flight record carries the canonical hash of the program
+/// its op resolved: inline and builtin programs alike, a batch the hash of
+/// its first program-bearing sub-request, and 0 for a request with no
+/// program or one that fails to resolve.
+#[test]
+fn flight_records_carry_each_ops_program_hash() {
+    let e = engine();
+    // Structurally matmul, under other names.
+    let inline = r#"{"name":"mm2","arrays":[{"name":"Z","dims":["Ni","Nk"]},{"name":"X","dims":["Ni","Nj"]},{"name":"Y","dims":["Nj","Nk"]}],"nest":[{"for":{"index":"p","bound":"Ni","body":[{"for":{"index":"q","bound":"Nj","body":[{"for":{"index":"r","bound":"Nk","body":[{"stmt":{"kind":"mul_add_assign","refs":[{"array":"Z","write":true,"dims":[[{"index":"p"}],[{"index":"r"}]]},{"array":"X","dims":[[{"index":"p"}],[{"index":"q"}]]},{"array":"Y","dims":[[{"index":"q"}],[{"index":"r"}]]}]}}]}}]}}]}}]}"#;
+    let program = sdlo_wire::program_from_value(&parse(inline)).unwrap();
+    let inline_hash = format!("{:016x}", sdlo_ir::canon::canonicalize(&program).hash);
+    let tiled = shape_hash("tiled_matmul");
+    let bindings = r#""bindings":{"Ni":16,"Nj":16,"Nk":16},"cache":64"#;
+    let none = "0000000000000000".to_string();
+    let cases = [
+        (
+            format!(r#"{{"op":"analyze","request_id":"fr-analyze","program":{inline}}}"#),
+            inline_hash.clone(),
+        ),
+        (
+            format!(r#"{{"op":"predict","request_id":"fr-predict","program":{inline},{bindings}}}"#),
+            inline_hash.clone(),
+        ),
+        (
+            format!(r#"{{"op":"lint","request_id":"fr-lint-inline","program":{inline}}}"#),
+            inline_hash.clone(),
+        ),
+        (
+            r#"{"op":"lint","request_id":"fr-lint-builtin","program":"tiled_matmul"}"#.to_string(),
+            tiled.clone(),
+        ),
+        (
+            r#"{"op":"advise","request_id":"fr-advise","program":"tiled_matmul","cache":4096,"bindings":{"Ni":64,"Nj":64,"Nk":64},"space":{"syms":["Ti","Tj","Tk"],"max":[64,64,64],"min":4}}"#.to_string(),
+            tiled.clone(),
+        ),
+        (
+            format!(
+                r#"{{"op":"revise","request_id":"fr-revise","base":"{tiled}","program":"tiled_matmul","delta":{{"bindings":{{"Ni":64,"Nj":64,"Nk":64,"Ti":8,"Tj":8,"Tk":8}},"cache_sizes":[512]}}}}"#
+            ),
+            tiled.clone(),
+        ),
+        (
+            format!(
+                r#"{{"op":"batch","request_id":"fr-batch","requests":[{{"op":"stats"}},{{"op":"predict","request_id":"fr-batch-sub","program":{inline},{bindings}}}]}}"#
+            ),
+            inline_hash.clone(),
+        ),
+        (
+            r#"{"op":"stats","request_id":"fr-stats"}"#.to_string(),
+            none.clone(),
+        ),
+        (
+            format!(r#"{{"op":"predict","request_id":"fr-unknown","program":"no_such",{bindings}}}"#),
+            none,
+        ),
+    ];
+    for (line, _) in &cases {
+        e.handle_line(line);
+    }
+    let dump = parse(&e.handle_line(r#"{"op":"debug","what":"trace_dump"}"#));
+    let records = dump.get("records").unwrap().as_array().unwrap();
+    let hash_of = |request_id: &str| {
+        records
+            .iter()
+            .find(|r| r.get("request_id").unwrap().as_str() == Some(request_id))
+            .unwrap_or_else(|| panic!("no flight record for {request_id}"))
+            .get("canon_hash")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_string()
+    };
+    for (line, want) in &cases {
+        let request_id = parse(line)
+            .get("request_id")
+            .unwrap()
+            .as_str()
+            .unwrap()
+            .to_string();
+        assert_eq!(hash_of(&request_id), *want, "{line}");
+    }
+    assert_eq!(hash_of("fr-batch-sub"), inline_hash);
+}
+
 // -- error envelopes ---------------------------------------------------------
 
 #[test]
@@ -423,6 +507,16 @@ fn batch_deadline_uses_deadline_exceeded_kind() {
     let rs = reply.get("responses").unwrap().as_array().unwrap();
     assert_eq!(rs[0].get("id").unwrap().as_i64(), Some(1));
     assert_eq!(rs[0].get("v").unwrap().as_u64(), Some(1));
+    assert_eq!(
+        rs[0].path(&["error", "kind"]).unwrap().as_str(),
+        Some("deadline_exceeded")
+    );
+    // A sub-request that carries its own `request_id` keeps it.
+    let reply = parse(
+        &e.handle_line(r#"{"op":"batch","requests":[{"op":"stats","id":1,"request_id":"mine"}]}"#),
+    );
+    let rs = reply.get("responses").unwrap().as_array().unwrap();
+    assert_eq!(rs[0].get("request_id").unwrap().as_str(), Some("mine"));
     assert_eq!(
         rs[0].path(&["error", "kind"]).unwrap().as_str(),
         Some("deadline_exceeded")

@@ -630,7 +630,8 @@ fn permutations(syms: &[Sym]) -> Vec<Vec<Sym>> {
 /// built (counted in the `search.pruned_illegal` trace attribute), each
 /// surviving order is applied with [`sdlo_ir::apply_permute`] and given a
 /// full pruned tile search, and the best (order, tiles) pair wins under the
-/// same preference as [`better`].
+/// tile search's own preference: fewer misses, then the larger tile volume,
+/// then lexicographic order.
 ///
 /// `base` must bind every free symbol of the program except the tile
 /// symbols; an empty `space.tile_syms` degenerates to comparing the orders

@@ -70,6 +70,10 @@ pub struct FlightRecorder {
     span_capacity: usize,
 }
 
+/// Request slots in each binary's flight recorder (`sdlo-service` and
+/// `sdlo-router`): the last 256 requests.
+pub const CAPACITY: usize = 256;
+
 /// How many slow captures are retained (oldest evicted first).
 const MAX_SLOW_CAPTURES: usize = 16;
 

@@ -15,9 +15,12 @@
 //!   the textual form carries no redundant numbering to get out of sync.
 //! * **Decoded programs are validated** before they are returned, so
 //!   downstream analysis can assume well-formedness.
+//!
+//! The protocol's reply envelope is not defined here: `sdlo_service::api`
+//! builds every reply, next to the error vocabulary and protocol version
+//! it carries.
 
 pub mod codec;
-pub mod envelope;
 pub mod json;
 
 pub use codec::{
