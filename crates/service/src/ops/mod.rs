@@ -4,7 +4,7 @@
 //! the raw document, validate, execute against the [`Engine`], and return
 //! the reply body fields (the envelope itself is owned by
 //! [`crate::api::reply`] / [`crate::api::error_reply`]). A program-bearing
-//! op resolves its program once, through [`OpCtx::resolve`], which also
+//! op resolves its program once, through `OpCtx::resolve`, which also
 //! gives the request's flight record its canonical hash. The `REGISTRY`
 //! table drives the engine's dispatch, the `stats.ops` advertisement and
 //! the per-op metrics slots, so adding an op is: write the module, add one
