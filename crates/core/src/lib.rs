@@ -40,5 +40,9 @@ pub use atree::{ANode, ATree};
 pub use dag::{DagDelta, ModelDag, ReviseOutcome};
 pub use extent::{seq_costs, subtree_costs, CostMap};
 pub use model::{ComponentPrediction, MissModel, ModelError};
-pub use partition::{all_components, components_for, Component, ComponentKind, StackDistance};
+pub use partition::{all_components, Component, ComponentKind, StackDistance};
+/// The tracing crate the model's spans go to, re-exported so a crate built
+/// on the model (the linter) can record its own phases into the same
+/// collector through this one dependency.
+pub use sdlo_trace as trace;
 pub use tape::{Tape, TapeEval};

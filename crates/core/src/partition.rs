@@ -593,17 +593,6 @@ fn partition_reference<'p>(
     components
 }
 
-/// Enumerate the reuse components of reference `ref_idx` of statement `stmt`.
-pub fn components_for(program: &Program, stmt: &Stmt, ref_idx: usize) -> Vec<Component> {
-    partition_reference(program, stmt, ref_idx)
-        .into_iter()
-        .map(|(mut c, job)| {
-            c.distance = distance_for(job);
-            c
-        })
-        .collect()
-}
-
 /// Enumerate reuse components for **every** reference of the program, in two
 /// traced phases: `model.partition` (enumeration + classification, with
 /// per-kind cell counters) and `model.stack_distance` (symbolic distance
@@ -695,10 +684,13 @@ mod tests {
         let p = programs::tiled_matmul();
         let b = tmm_bindings();
         let total: i64 = 512 / 64 * 512 / 64 * (512 / 64) * 64 * 64 * 64;
+        let comps = all_components(&p);
         for ref_idx in 0..3 {
-            let stmt = p.stmts()[0].clone();
-            let comps = components_for(&p, &stmt, ref_idx);
-            let sum: i64 = comps.iter().map(|c| c.count.eval(&b).unwrap()).sum();
+            let sum: i64 = comps
+                .iter()
+                .filter(|c| c.ref_idx == ref_idx)
+                .map(|c| c.count.eval(&b).unwrap())
+                .sum();
             assert_eq!(sum, total, "ref {ref_idx}");
         }
     }

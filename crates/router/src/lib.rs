@@ -268,23 +268,6 @@ impl Proxy {
         api::stats_body(&self.metrics, &self.flight, ("router", router))
     }
 
-    /// The router answers `debug` itself: `trace_dump` exposes the
-    /// router-side flight recorder (each backend serves its own over the
-    /// same op).
-    fn debug_body(&self, request: Option<&Value>) -> Result<Vec<(&'static str, Value)>, ApiError> {
-        let what = request
-            .and_then(|v| v.get("what"))
-            .and_then(Value::as_str)
-            .unwrap_or("trace_dump");
-        if what != "trace_dump" {
-            return Err(ApiError::new(
-                ErrorKind::Schema,
-                format!("unknown debug query `{what}` (expected `trace_dump`)"),
-            ));
-        }
-        Ok(api::flight_dump_body(&self.flight))
-    }
-
     /// A reply built by the router itself, correlated with `request`, and
     /// its flight-record status.
     fn local(
@@ -617,7 +600,12 @@ impl LineHandler for Proxy {
                     ("text", Value::from(self.prometheus())),
                 ]),
             ),
-            "debug" => self.local(parsed.as_ref(), self.debug_body(parsed.as_ref())),
+            // `trace_dump` exposes the router-side flight recorder; each
+            // backend serves its own over the same op.
+            "debug" => self.local(
+                parsed.as_ref(),
+                api::debug_body(parsed.as_ref(), &self.flight),
+            ),
             _ => {
                 let wire_line = traced_line(line, &trace_id, span.id());
                 self.forward(parsed.as_ref(), key, &wire_line, started, &mut fwd)

@@ -1,7 +1,8 @@
 //! The router's transport is the daemon's: the same line cap, admission
 //! control, in-order pipelining and drain, each checked here through a
-//! real router in front of a real backend. The last test pins that a
-//! forwarded reply is the backend's bytes.
+//! real router in front of a real backend. The last two tests pin that a
+//! forwarded reply is the backend's bytes and that the `debug` error the
+//! router answers itself is the backend's.
 
 use sdlo_router::{serve as serve_router, RouterConfig, RouterHandle};
 use sdlo_service::{serve as serve_backend, Client, EngineConfig, ServerConfig, ServerHandle};
@@ -186,6 +187,27 @@ fn warm_routed_reply_equals_the_backend_reply_byte_for_byte() {
     let served = direct.request_line(PREDICT).unwrap();
     assert!(routed.contains("\"cache_hit\":true"), "{routed}");
     assert_eq!(routed, served);
+
+    router.shutdown();
+    b.shutdown();
+}
+
+#[test]
+fn unknown_debug_query_is_the_same_error_from_router_and_backend() {
+    let b = backend(false);
+    let router = router_over(&b);
+    let line = r#"{"op":"debug","what":"x"}"#;
+    let routed = req(&mut Client::connect(router.addr()).unwrap(), line);
+    let served = req(&mut Client::connect(b.addr()).unwrap(), line);
+    assert_eq!(
+        served.path(&["error", "kind"]).and_then(Value::as_str),
+        Some("schema"),
+        "{served:?}"
+    );
+    assert_eq!(
+        routed.get("error").map(Value::render),
+        served.get("error").map(Value::render)
+    );
 
     router.shutdown();
     b.shutdown();

@@ -451,10 +451,29 @@ pub fn flight_record_to_value(r: &sdlo_trace::flight::FlightRecord) -> Value {
     ])
 }
 
-/// The `debug`/`trace_dump` reply body, shared by the service engine and
-/// the router (both answer the op against their own flight recorder, with
-/// the same shape).
-pub fn flight_dump_body(flight: &sdlo_trace::flight::FlightRecorder) -> Vec<(&'static str, Value)> {
+/// The `debug` reply body, shared by the service engine and the router:
+/// both answer the op against their own flight recorder, with the same
+/// shape and the same error. `what` defaults to `trace_dump`, the one
+/// query there is.
+pub fn debug_body(
+    request: Option<&Value>,
+    flight: &sdlo_trace::flight::FlightRecorder,
+) -> Result<Vec<(&'static str, Value)>, ApiError> {
+    let what = request
+        .and_then(|v| v.get("what"))
+        .and_then(Value::as_str)
+        .unwrap_or("trace_dump");
+    if what != "trace_dump" {
+        return Err(schema(format!(
+            "unknown debug query `{what}` (expected trace_dump)"
+        )));
+    }
+    Ok(flight_dump_body(flight))
+}
+
+/// The `trace_dump` body: the raw request ring, the retained slow captures
+/// and the whole span ring.
+fn flight_dump_body(flight: &sdlo_trace::flight::FlightRecorder) -> Vec<(&'static str, Value)> {
     let records: Vec<Value> = flight
         .records()
         .iter()

@@ -5,24 +5,9 @@
 //! process's unix epoch anchor so `tables trace-merge` can align dumps
 //! from different processes.
 
-use crate::api::{self, ApiError, ErrorKind};
+use crate::api;
 use crate::engine::{Engine, OpResult};
 use crate::ops::{OpCtx, ServiceOp};
-use sdlo_wire::Value;
-
-struct DebugQuery {
-    what: String,
-}
-
-fn parse(request: &Value) -> Result<DebugQuery, ApiError> {
-    Ok(DebugQuery {
-        what: request
-            .get("what")
-            .and_then(Value::as_str)
-            .unwrap_or("trace_dump")
-            .to_string(),
-    })
-}
 
 pub struct DebugOp;
 
@@ -32,27 +17,26 @@ impl ServiceOp for DebugOp {
     }
 
     fn serve(&self, engine: &Engine, ctx: &OpCtx<'_>) -> OpResult {
-        let query = parse(ctx.request)?;
-        if query.what != "trace_dump" {
-            return Err(api::fail(
-                ErrorKind::Schema,
-                format!("unknown debug query `{}` (expected trace_dump)", query.what),
-            ));
-        }
-        Ok(api::flight_dump_body(&engine.flight))
+        api::debug_body(Some(ctx.request), &engine.flight)
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::engine::{Engine, EngineConfig};
+    use sdlo_wire::Value;
 
     #[test]
     fn debug_op_parses_with_default_what() {
-        let q = parse(&sdlo_wire::parse(r#"{"op":"debug"}"#).unwrap()).unwrap();
-        assert_eq!(q.what, "trace_dump");
-        let q = parse(&sdlo_wire::parse(r#"{"op":"debug","what":"trace_dump"}"#).unwrap()).unwrap();
-        assert_eq!(q.what, "trace_dump");
+        let engine = Engine::new(EngineConfig::default());
+        for line in [r#"{"op":"debug"}"#, r#"{"op":"debug","what":"trace_dump"}"#] {
+            let reply = sdlo_wire::parse(&engine.handle_line(line)).unwrap();
+            assert_eq!(
+                reply.get("what").and_then(Value::as_str),
+                Some("trace_dump"),
+                "{line}"
+            );
+        }
         assert!(crate::ops::advertised().contains(&"debug"));
     }
 }
