@@ -3,7 +3,8 @@
 
 use crate::partition::{all_components, Component, ComponentKind, StackDistance};
 use sdlo_ir::{ArrayId, Bindings, Program};
-use std::collections::BTreeMap;
+use sdlo_symbolic::Sym;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Error from miss prediction.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,6 +133,23 @@ impl MissModel {
     /// The underlying components.
     pub fn components(&self) -> &[Component] {
         &self.components
+    }
+
+    /// Every symbol a component's count or stack distance reads.
+    pub fn symbols(&self) -> BTreeSet<Sym> {
+        let mut read = BTreeSet::new();
+        for c in &self.components {
+            c.count.collect_vars(&mut read);
+            match &c.distance {
+                StackDistance::Infinite => {}
+                StackDistance::Constant(e) => e.collect_vars(&mut read),
+                StackDistance::Varying { lo, hi } => {
+                    lo.collect_vars(&mut read);
+                    hi.collect_vars(&mut read);
+                }
+            }
+        }
+        read
     }
 
     /// Build a model from an explicit component list (used for filtered

@@ -57,6 +57,7 @@ use crate::ops::revise::Session;
 use crate::ops::{OpCtx, ServiceOp};
 use crate::server::{LineHandler, RequestMeta};
 use sdlo_core::model::MissModel;
+use sdlo_core::Tape;
 use sdlo_ir::canon::{canonicalize, Canonical};
 use sdlo_ir::Program;
 use sdlo_symbolic::{Bindings, Sym};
@@ -65,7 +66,7 @@ use sdlo_trace::AttrValue;
 use sdlo_wire::Value;
 use std::cell::Cell;
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Engine limits and cache sizing.
@@ -105,11 +106,13 @@ impl Default for EngineConfig {
 }
 
 /// A cached analysis: the canonicalization (for name translation), the
-/// built model, and the shape's `revise` session once a `revise` has
-/// established one. The session lives exactly as long as the entry.
+/// built model, the tape `advise` searches once one has, and the shape's
+/// `revise` session once a `revise` has established one. Both live
+/// exactly as long as the entry.
 pub struct CachedModel {
     pub canonical: Arc<Canonical>,
     pub model: MissModel,
+    search_tape: OnceLock<Tape>,
     pub(crate) session: Mutex<Option<Session>>,
 }
 
@@ -118,8 +121,19 @@ impl CachedModel {
         CachedModel {
             canonical,
             model,
+            search_tape: OnceLock::new(),
             session: Mutex::new(None),
         }
+    }
+
+    /// The model compiled with every symbol its components read as an
+    /// input, in sorted order, and nothing folded: compiled on the shape's
+    /// first `advise`, then borrowed by every search on it.
+    pub(crate) fn search_tape(&self) -> &Tape {
+        self.search_tape.get_or_init(|| {
+            let inputs: Vec<Sym> = self.model.symbols().into_iter().collect();
+            Tape::compile(&self.model, &inputs, &Bindings::new())
+        })
     }
 }
 

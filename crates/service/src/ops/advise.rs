@@ -61,10 +61,13 @@ pub(crate) fn parse(request: &Value) -> Result<Advise, ApiError> {
                     .ok_or_else(|| schema("bound symbols must be strings"))
             })
             .collect::<Result<_, _>>()?;
-        let nominal = bf
-            .get("nominal")
-            .and_then(Value::as_i64)
-            .unwrap_or(1_000_000) as i128;
+        let nominal = match bf.get("nominal") {
+            None => 1_000_000,
+            Some(v) => v
+                .as_i64()
+                .filter(|n| *n > 0)
+                .ok_or_else(|| schema("`bounds_free.nominal` must be a positive integer"))?,
+        } as i128;
         AdviseTarget::BoundsFree { bounds, nominal }
     } else {
         let mode = match request
@@ -140,7 +143,17 @@ fn decode_space(request: &Value) -> Result<SearchSpace, ApiError> {
             "`space.syms` and `space.max` must align and be non-empty",
         ));
     }
-    let min = v.get("min").and_then(Value::as_u64).unwrap_or(4).max(1);
+    let repeated = (1..syms.len()).find(|&k| syms[..k].contains(&syms[k]));
+    if let Some(k) = repeated {
+        return Err(schema(format!("`space.syms` names `{}` twice", syms[k])));
+    }
+    let min = match v.get("min") {
+        None => 4,
+        Some(m) => m
+            .as_u64()
+            .filter(|m| *m > 0)
+            .ok_or_else(|| schema("`space.min` must be a positive integer"))?,
+    };
     if max.iter().any(|m| *m < min) {
         return Err(schema("every `space.max` must be ≥ `space.min`"));
     }
@@ -203,12 +216,13 @@ impl ServiceOp for AdviseOp {
             }
             AdviseTarget::Bound { bindings, mode } => {
                 engine.require_bound(program, &bindings, &space.tile_syms)?;
-                let searcher =
-                    TileSearcher::new(&cached.model, bindings, request.cache, space.clone());
-                match mode {
-                    SearchMode::Pruned => searcher.pruned_with(&budget),
-                    SearchMode::Exhaustive => searcher.exhaustive_with(&budget),
-                }
+                let tape = cached.search_tape();
+                TileSearcher::on_tape(tape, &bindings, request.cache, space.clone()).and_then(
+                    |searcher| match mode {
+                        SearchMode::Pruned => searcher.pruned_with(&budget),
+                        SearchMode::Exhaustive => searcher.exhaustive_with(&budget),
+                    },
+                )
             }
         }
         .map_err(|e| api::fail(ErrorKind::Eval, e.to_string()))?;
@@ -234,6 +248,8 @@ impl ServiceOp for AdviseOp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineConfig;
+    use crate::ops::spans_of;
 
     fn doc(s: &str) -> Value {
         sdlo_wire::parse(s).unwrap()
@@ -263,5 +279,45 @@ mod tests {
                 "deadline_ms":"soon"}"#))
         .unwrap_err();
         assert_eq!(err.kind, ErrorKind::Schema);
+
+        // Absent search fields keep their defaults.
+        let free = parse(&doc(r#"{"op":"advise","program":"x","cache":1,
+                "space":{"syms":["T"],"max":[8]},"bounds_free":{"bounds":["N"]}}"#))
+        .unwrap();
+        assert_eq!(free.space.min, 4);
+        assert!(matches!(
+            free.target,
+            AdviseTarget::BoundsFree {
+                nominal: 1_000_000,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn bound_searches_borrow_the_cached_models_tape() {
+        // The first `advise` on a shape compiles the cache entry's tape;
+        // bound searches after it, in either mode and at any bounds,
+        // compile none. A bounds-free search filters the model, so it
+        // compiles its own.
+        let engine = Engine::new(EngineConfig::default());
+        let advise = |fields: &str| {
+            format!(
+                r#"{{"op":"advise","program":"tiled_matmul","cache":4096,"space":{{"syms":["Ti","Tj","Tk"],"max":[64,64,64],"min":4}},{fields}}}"#
+            )
+        };
+        let compiles = |line: &str| {
+            let spans = spans_of(&engine, line);
+            spans.iter().filter(|n| *n == "tape.compile").count()
+        };
+        let bound = advise(r#""bindings":{"Ni":128,"Nj":128,"Nk":128}"#);
+        assert_eq!(compiles(&bound), 1);
+        assert_eq!(compiles(&bound), 0);
+        let exhaustive = advise(r#""bindings":{"Ni":512,"Nj":512,"Nk":512},"mode":"exhaustive""#);
+        assert_eq!(compiles(&exhaustive), 0);
+        assert_eq!(
+            compiles(&advise(r#""bounds_free":{"bounds":["Ni","Nj","Nk"]}"#)),
+            1
+        );
     }
 }

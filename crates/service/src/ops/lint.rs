@@ -64,53 +64,16 @@ impl ServiceOp for LintOp {
 #[cfg(test)]
 mod tests {
     use crate::engine::{Engine, EngineConfig};
-    use sdlo_trace::{MemoryCollector, Record};
-    use std::collections::BTreeSet;
-
-    /// The names of the spans one `lint` line records, at any depth under
-    /// a span this thread opens around it (other tests may record into the
-    /// same collector meanwhile).
-    fn spans_of_lint(collector: &MemoryCollector, engine: &Engine, line: &str) -> Vec<String> {
-        let outer = sdlo_trace::span("test.lint");
-        let root = outer.id().expect("a collector is installed");
-        let reply = engine.handle_line(line);
-        assert!(reply.contains(r#""ok":true"#), "{reply}");
-        drop(outer);
-        let mut under = BTreeSet::from([root]);
-        let mut names = Vec::new();
-        for record in collector.records() {
-            if let Record::Begin {
-                id,
-                parent: Some(parent),
-                name,
-                ..
-            } = record
-            {
-                if under.contains(&parent) {
-                    under.insert(id);
-                    names.push(name.into_owned());
-                }
-            }
-        }
-        names
-    }
+    use crate::ops::spans_of;
 
     #[test]
     fn one_lint_builds_one_model_and_one_dependence_graph() {
         let engine = Engine::new(EngineConfig::default());
-        let collector = MemoryCollector::new();
-        sdlo_trace::install(collector.clone());
-        let valid = spans_of_lint(
-            &collector,
-            &engine,
-            r#"{"op":"lint","program":"tiled_two_index"}"#,
-        );
-        let rejected = spans_of_lint(
-            &collector,
+        let valid = spans_of(&engine, r#"{"op":"lint","program":"tiled_two_index"}"#);
+        let rejected = spans_of(
             &engine,
             r#"{"op":"lint","program":{"name":"bad","arrays":[{"name":"A","dims":["N"]}],"nest":[{"stmt":{"kind":"zero","refs":[{"array":"A","write":true,"dims":[[{"index":"q"}]]}]}}]}}"#,
         );
-        sdlo_trace::uninstall();
         let count = |names: &[String], name: &str| names.iter().filter(|n| *n == name).count();
         assert_eq!(
             (count(&valid, "model.build"), count(&valid, "deps.graph")),

@@ -119,6 +119,41 @@ pub fn advertised() -> &'static [&'static str] {
     })
 }
 
+/// The names of the spans `engine` records serving `line`, at any depth
+/// under a span this thread opens around it. The collector is process-wide,
+/// so tests that trace take turns.
+#[cfg(test)]
+pub(crate) fn spans_of(engine: &Engine, line: &str) -> Vec<String> {
+    use sdlo_trace::{MemoryCollector, Record};
+    static TRACING: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _turn = TRACING.lock().unwrap_or_else(|e| e.into_inner());
+    let collector = MemoryCollector::new();
+    sdlo_trace::install(collector.clone());
+    let outer = sdlo_trace::span("test.request");
+    let root = outer.id().expect("a collector is installed");
+    let reply = engine.handle_line(line);
+    drop(outer);
+    sdlo_trace::uninstall();
+    assert!(reply.contains(r#""ok":true"#), "{reply}");
+    let mut under = std::collections::BTreeSet::from([root]);
+    let mut names = Vec::new();
+    for record in collector.records() {
+        if let Record::Begin {
+            id,
+            parent: Some(parent),
+            name,
+            ..
+        } = record
+        {
+            if under.contains(&parent) {
+                under.insert(id);
+                names.push(name.into_owned());
+            }
+        }
+    }
+    names
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -21,17 +21,26 @@
 //! fixed cache for large bounds, so they are treated as always missing), it
 //! predicts tiles before the problem size is known.
 //!
-//! Every search evaluates the model through a [`Tape`] compiled once per
-//! [`TileSearcher`], with the tile symbols as its inputs. All three
-//! strategies run sequentially in grid order: the service already runs one
-//! search per worker thread, so a fan-out inside a search would only
-//! compete with its neighbours for the same cores.
+//! Every search evaluates the model through a [`Tape`] with the tile
+//! symbols and the bound symbols as inputs and nothing folded: the
+//! searcher's own ([`TileSearcher::new`]), or one it borrows
+//! ([`TileSearcher::on_tape`]), such as the service's per-model tape. The
+//! searcher writes the bound values into its input vector once; each grid
+//! point writes only the tile slots. Folding the bounds in per search would
+//! win nothing per point: no op of the builtins' models reads only loop
+//! bounds, so the folded tape has as many ops as the unfolded one.
+//!
+//! All three strategies run sequentially in grid order, stepping the grid
+//! like an odometer rather than dividing a point index back into tiles: the
+//! service already runs one search per worker thread, so a fan-out inside a
+//! search would only compete with its neighbours for the same cores.
 
 use sdlo_core::{MissModel, ModelError, StackDistance, Tape, TapeEval};
 use sdlo_ir::Bindings;
-use sdlo_symbolic::Sym;
+use sdlo_symbolic::{EvalError, Sym};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::marker::PhantomData;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -201,15 +210,12 @@ impl SearchSpace {
 
     /// Every tile tuple of the grid, in the order the searches visit them.
     pub fn points(&self) -> Vec<Vec<u64>> {
-        let grid = Grid::new(self);
-        let mut tiles = vec![0; self.max.len()];
-        let mut inputs = vec![0; tiles.len()];
-        (0..grid.len)
-            .map(|idx| {
-                grid.point(idx, &mut tiles, &mut inputs);
-                tiles.clone()
-            })
-            .collect()
+        let mut points = Vec::new();
+        let Ok(()) = Grid::new(self).visit(|at| {
+            points.push(at.tiles.clone());
+            Ok::<_, Infallible>(true)
+        });
+        points
     }
 }
 
@@ -220,6 +226,14 @@ struct Grid {
     /// Index distance between neighbours along each dimension.
     strides: Vec<usize>,
     len: usize,
+}
+
+/// One grid point: its index, each dimension's candidate index, and its
+/// tiles.
+struct Cursor {
+    index: usize,
+    digits: Vec<usize>,
+    tiles: Vec<u64>,
 }
 
 impl Grid {
@@ -239,85 +253,170 @@ impl Grid {
         }
     }
 
-    /// The tiles of point `idx`, as tile sizes and as tape inputs.
-    fn point(&self, idx: usize, tiles: &mut [u64], inputs: &mut [i128]) {
-        for (d, c) in self.candidates.iter().enumerate() {
-            tiles[d] = c[(idx / self.strides[d]) % c.len()];
-            inputs[d] = tiles[d].into();
+    /// Call `visit` at each point in grid order until it returns `false`
+    /// or fails, stepping the last dimension and carrying into the ones
+    /// before it.
+    fn visit<E>(&self, mut visit: impl FnMut(&Cursor) -> Result<bool, E>) -> Result<(), E> {
+        if self.len == 0 {
+            return Ok(());
         }
+        let mut at = Cursor {
+            index: 0,
+            digits: vec![0; self.candidates.len()],
+            tiles: self.candidates.iter().map(|c| c[0]).collect(),
+        };
+        while visit(&at)? {
+            let Some(d) = (0..at.digits.len())
+                .rev()
+                .find(|&d| at.digits[d] + 1 < self.candidates[d].len())
+            else {
+                break;
+            };
+            at.index += 1;
+            at.digits[d] += 1;
+            at.tiles[d] = self.candidates[d][at.digits[d]];
+            for e in d + 1..at.digits.len() {
+                at.digits[e] = 0;
+                at.tiles[e] = self.candidates[e][0];
+            }
+        }
+        Ok(())
     }
 
-    /// The points one candidate larger than `idx` along each dimension that
+    /// The points one candidate larger than `at` along each dimension that
     /// can still grow.
-    fn grown(&self, idx: usize) -> impl Iterator<Item = usize> + '_ {
+    fn grown<'g>(&'g self, at: &'g Cursor) -> impl Iterator<Item = usize> + 'g {
         self.candidates
             .iter()
-            .enumerate()
-            .filter_map(move |(d, c)| {
-                let k = (idx / self.strides[d]) % c.len();
-                (k + 1 < c.len()).then(|| idx + self.strides[d])
-            })
+            .zip(&at.digits)
+            .zip(&self.strides)
+            .filter(|((c, k), _)| **k + 1 < c.len())
+            .map(|(_, stride)| at.index + stride)
     }
 }
 
 /// Preference order: fewer misses wins; ties break toward the larger tile
 /// volume (larger tiles have fewer inter-tile reuses and remain robust when
 /// counts are approximate), then lexicographically for determinism.
-fn better(candidate: &Evaluation, incumbent: &Evaluation) -> bool {
-    let vol = |e: &Evaluation| e.tiles.iter().product::<u64>();
-    (
-        candidate.misses,
-        std::cmp::Reverse(vol(candidate)),
-        &candidate.tiles,
-    ) < (
-        incumbent.misses,
-        std::cmp::Reverse(vol(incumbent)),
-        &incumbent.tiles,
-    )
+fn better(misses: u64, tiles: &[u64], incumbent: &Evaluation) -> bool {
+    let vol = |tiles: &[u64]| tiles.iter().product::<u64>();
+    (misses, std::cmp::Reverse(vol(tiles)), tiles)
+        < (
+            incumbent.misses,
+            std::cmp::Reverse(vol(&incumbent.tiles)),
+            &incumbent.tiles[..],
+        )
 }
 
 /// Tile-size searcher over a [`MissModel`].
 pub struct TileSearcher<'a> {
-    /// The model with the tile symbols as inputs and everything else bound.
-    tape: Tape,
+    /// The model with the searched and bound symbols as inputs.
+    tape: Cow<'a, Tape>,
+    /// One value per tape input: the bound values, and a placeholder in
+    /// each slot a tile writes.
+    base: Vec<i128>,
+    /// Per tile symbol, the tape input its tile writes; `None` for a symbol
+    /// the model never reads, a dimension that changes nothing.
+    slots: Vec<Option<usize>>,
     cache_size: u64,
     space: SearchSpace,
-    model: PhantomData<&'a MissModel>,
 }
 
 impl<'a> TileSearcher<'a> {
     /// Create a searcher. `base` must bind every free symbol except the
     /// tile symbols; a tile symbol bound in `base` is overridden by the
-    /// searched value.
+    /// searched value. Compiles the model with the tile symbols and the
+    /// symbols bound in `base` as inputs.
     ///
     /// # Panics
     ///
     /// If `space.max` does not give one bound per tile symbol, or some
     /// dimension has no candidate (a bound below `space.min`).
     pub fn new(model: &'a MissModel, base: Bindings, cache_size: u64, space: SearchSpace) -> Self {
+        let inputs: Vec<Sym> = model
+            .symbols()
+            .into_iter()
+            .filter(|s| base.get(s).is_some() || space.tile_syms.iter().any(|t| t == s.name()))
+            .collect();
+        let tape = Tape::compile(model, &inputs, &Bindings::new());
+        Self::with_tape(Cow::Owned(tape), &base, cache_size, space)
+            .expect("every input is searched or bound")
+    }
+
+    /// A searcher on a borrowed `tape` of the model, compiled with no
+    /// binding folded in, such as one kept with a cached model. Each input
+    /// takes its tile if it is a tile symbol, else its value in `base`.
+    /// Fails with [`EvalError::Unbound`] for an input that is neither.
+    ///
+    /// # Panics
+    ///
+    /// As [`TileSearcher::new`].
+    pub fn on_tape(
+        tape: &'a Tape,
+        base: &Bindings,
+        cache_size: u64,
+        space: SearchSpace,
+    ) -> Result<Self, ModelError> {
+        Self::with_tape(Cow::Borrowed(tape), base, cache_size, space)
+    }
+
+    fn with_tape(
+        tape: Cow<'a, Tape>,
+        base: &Bindings,
+        cache_size: u64,
+        space: SearchSpace,
+    ) -> Result<Self, ModelError> {
         assert_eq!(space.tile_syms.len(), space.max.len());
         assert!(
             space.max.iter().all(|m| *m >= space.min.max(1)),
             "every dimension needs a candidate tile"
         );
-        let inputs: Vec<Sym> = space.tile_syms.iter().map(Sym::new).collect();
-        TileSearcher {
-            tape: Tape::compile(model, &inputs, &base),
+        let slots: Vec<Option<usize>> = space
+            .tile_syms
+            .iter()
+            .map(|t| tape.inputs().iter().position(|s| s.name() == t))
+            .collect();
+        let base = tape
+            .inputs()
+            .iter()
+            .enumerate()
+            .map(|(i, s)| match base.get(s) {
+                Some(v) => Ok(v),
+                None if slots.contains(&Some(i)) => Ok(0),
+                None => Err(ModelError::Eval(EvalError::Unbound(s.clone()))),
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(TileSearcher {
+            tape,
+            base,
+            slots,
             cache_size,
             space,
-            model: PhantomData,
+        })
+    }
+
+    /// Write `tiles`, in `tile_syms` order, into their slots of `inputs`.
+    /// A symbol listed twice takes its last tile.
+    fn write(&self, tiles: &[u64], inputs: &mut [i128]) {
+        for (slot, t) in self.slots.iter().zip(tiles) {
+            if let Some(i) = slot {
+                inputs[*i] = i128::from(*t);
+            }
         }
     }
 
-    fn inputs(tiles: &[u64]) -> Vec<i128> {
-        tiles.iter().map(|t| i128::from(*t)).collect()
+    /// The tape inputs of one tile tuple.
+    fn inputs(&self, tiles: &[u64]) -> Vec<i128> {
+        let mut inputs = self.base.clone();
+        self.write(tiles, &mut inputs);
+        inputs
     }
 
     /// Predicted misses for a tile tuple, in `tile_syms` order.
     pub fn misses(&self, tiles: &[u64]) -> Result<u64, ModelError> {
         self.tape
             .evaluator()
-            .misses(&Self::inputs(tiles), self.cache_size)
+            .misses(&self.inputs(tiles), self.cache_size)
     }
 
     /// Number of distinct stack-distance values at or above the cache size —
@@ -325,7 +424,7 @@ impl<'a> TileSearcher<'a> {
     pub fn distances_above(&self, tiles: &[u64]) -> Result<usize, ModelError> {
         self.tape
             .evaluator()
-            .distances_above(&Self::inputs(tiles), self.cache_size)
+            .distances_above(&self.inputs(tiles), self.cache_size)
     }
 
     /// The largest candidate tuple (the full power-of-two grid corner). It
@@ -357,7 +456,7 @@ impl<'a> TileSearcher<'a> {
         }
         token.charge();
         let tiles = self.max_tiles();
-        let misses = eval.misses(&Self::inputs(&tiles), self.cache_size)?;
+        let misses = eval.misses(&self.inputs(&tiles), self.cache_size)?;
         Ok(Some(Evaluation { tiles, misses }))
     }
 
@@ -384,24 +483,23 @@ impl<'a> TileSearcher<'a> {
         let mut eval = self.tape.evaluator();
         let mut best = self.seed_evaluation(budget, &token, &mut eval)?;
 
-        let grid = Grid::new(&self.space);
-        let mut tiles = vec![0; self.space.tile_syms.len()];
-        let mut inputs = vec![0; tiles.len()];
+        let mut inputs = self.base.clone();
         let mut evaluated = 0u64;
-        for idx in 0..grid.len {
+        Grid::new(&self.space).visit(|at| -> Result<bool, ModelError> {
             if !token.admit() {
-                break;
+                return Ok(false);
             }
-            grid.point(idx, &mut tiles, &mut inputs);
-            let e = Evaluation {
-                misses: eval.misses(&inputs, self.cache_size)?,
-                tiles: tiles.clone(),
-            };
+            self.write(&at.tiles, &mut inputs);
+            let misses = eval.misses(&inputs, self.cache_size)?;
             evaluated += 1;
-            if best.as_ref().is_none_or(|b| better(&e, b)) {
-                best = Some(e);
+            if best.as_ref().is_none_or(|b| better(misses, &at.tiles, b)) {
+                best = Some(Evaluation {
+                    tiles: at.tiles.clone(),
+                    misses,
+                });
             }
-        }
+            Ok(true)
+        })?;
         span.add("grid_points", evaluated);
         span.add("miss_evals", evaluated);
         if token.is_cancelled() {
@@ -447,16 +545,16 @@ impl<'a> TileSearcher<'a> {
         // Phase 1: distinct stack distances at or above the cache size, one
         // distances-only evaluation per grid point.
         let grid = Grid::new(&self.space);
-        let mut tiles = vec![0; self.space.tile_syms.len()];
-        let mut inputs = vec![0; tiles.len()];
+        let mut inputs = self.base.clone();
         let mut above = Vec::with_capacity(grid.len);
-        for idx in 0..grid.len {
+        grid.visit(|at| -> Result<bool, ModelError> {
             if !token.admit() {
-                break;
+                return Ok(false);
             }
-            grid.point(idx, &mut tiles, &mut inputs);
+            self.write(&at.tiles, &mut inputs);
             above.push(eval.distances_above(&inputs, self.cache_size)?);
-        }
+            Ok(true)
+        })?;
         let grid_points = above.len();
 
         // Phase 2: a point is on the frontier when growing it along each
@@ -464,24 +562,26 @@ impl<'a> TileSearcher<'a> {
         // size; a grown point with no more such distances has no additional
         // misses and strictly fewer inter-tile reuses. A cut-short phase 1
         // classifies nothing (its budget admits no miss evaluation anyway).
-        let frontier_points: Vec<usize> = if grid_points == grid.len {
-            (0..grid.len)
-                .filter(|&idx| grid.grown(idx).all(|g| above[g] > above[idx]))
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let mut frontier_points = Vec::new();
+        if grid_points == grid.len {
+            let Ok(()) = grid.visit(|at| {
+                if grid.grown(at).all(|g| above[g] > above[at.index]) {
+                    frontier_points.push(at.tiles.clone());
+                }
+                Ok::<_, Infallible>(true)
+            });
+        }
         let mut frontier = Vec::new();
-        for &idx in &frontier_points {
+        for tiles in &frontier_points {
             if !token.admit() {
                 break;
             }
-            grid.point(idx, &mut tiles, &mut inputs);
+            self.write(tiles, &mut inputs);
             let e = Evaluation {
                 misses: eval.misses(&inputs, self.cache_size)?,
                 tiles: tiles.clone(),
             };
-            if best.as_ref().is_none_or(|b| better(&e, b)) {
+            if best.as_ref().is_none_or(|b| better(e.misses, &e.tiles, b)) {
                 best = Some(e.clone());
             }
             frontier.push(e);
@@ -674,7 +774,9 @@ pub fn search_orders(
         let outcome = searcher.pruned_with(budget)?;
         let wins = match &best {
             None => true,
-            Some((_, incumbent)) => better(&outcome.best, &incumbent.best),
+            Some((_, incumbent)) => {
+                better(outcome.best.misses, &outcome.best.tiles, &incumbent.best)
+            }
         };
         if wins {
             best = Some((order, outcome));

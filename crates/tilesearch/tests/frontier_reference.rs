@@ -9,10 +9,10 @@
 //! EXPERIMENTS.md, "Where §6's pruning is not optimal") the frontier misses
 //! the grid minimum. Pruned and exhaustive must agree everywhere else.
 
-use sdlo_core::{MissModel, StackDistance};
+use sdlo_core::{MissModel, StackDistance, Tape};
 use sdlo_ir::{programs, Bindings};
 use sdlo_symbolic::Sym;
-use sdlo_tilesearch::{Evaluation, SearchOutcome, SearchSpace, TileSearcher};
+use sdlo_tilesearch::{Evaluation, SearchBudget, SearchOutcome, SearchSpace, TileSearcher};
 use std::cmp::Reverse;
 
 const MATMUL: (&str, &[&str], &[&str]) = ("tiled_matmul", &["Ni", "Nj", "Nk"], &["Ti", "Tj", "Tk"]);
@@ -242,5 +242,41 @@ fn bounds_free_and_table4_match_the_reference() {
         let sp = space(tile_syms, n, (4, 512));
         let s = TileSearcher::new(&model, bounds(bound_syms, n), 8192, sp.clone());
         check(&s, &sp, &format!("Table 4, N={n}"));
+    }
+}
+
+#[test]
+fn a_borrowed_all_inputs_tape_searches_like_its_own() {
+    // The service's searches borrow one tape per cached model, compiled
+    // with every symbol the model reads as an input; over the same matrix
+    // they must find what a searcher compiling its own tape finds.
+    let limited = SearchBudget::max_evals(150);
+    for (name, bound_syms, tile_syms) in [MATMUL, TWO_INDEX] {
+        let model = MissModel::build(&programs::builtin(name).unwrap());
+        let inputs: Vec<Sym> = model.symbols().into_iter().collect();
+        let tape = Tape::compile(&model, &inputs, &Bindings::new());
+        for n in [32u64, 100, 128, 256, 512, 1024] {
+            for cache in [256u64, 2048, 8192, 32768] {
+                for range in [(4u64, 256u64), (1, 64), (2, 512)] {
+                    let sp = space(tile_syms, n, range);
+                    let base = bounds(bound_syms, n);
+                    let own = TileSearcher::new(&model, base.clone(), cache, sp.clone());
+                    let borrowed = TileSearcher::on_tape(&tape, &base, cache, sp).unwrap();
+                    let what = format!("{name} N={n} C={cache} (min, max)={range:?}");
+                    for (a, b) in [
+                        (own.pruned(), borrowed.pruned()),
+                        (own.exhaustive(), borrowed.exhaustive()),
+                        (
+                            own.pruned_with(&limited).unwrap(),
+                            borrowed.pruned_with(&limited).unwrap(),
+                        ),
+                    ] {
+                        same_search(&a, &b, &what);
+                        assert_eq!(a.evaluations, b.evaluations, "{what}: evaluations");
+                        assert_eq!(a.completed, b.completed, "{what}: completed");
+                    }
+                }
+            }
+        }
     }
 }
