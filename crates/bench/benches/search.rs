@@ -5,8 +5,9 @@
 //! point on the compiled tape against the `MissModel` tree walk on
 //! `tiled_two_index` (N=512, 64 KiB cache, tiles 4..=512). It asserts both
 //! give the same miss count and distance count at every point, gates the
-//! tape at no less than [`MIN_SPEEDUP`] times the tree walk, and writes the
-//! measurement to `results/search.json`.
+//! median over five back-to-back pairs of passes at no less than
+//! [`MIN_SPEEDUP`] times the tree walk, and writes the measurement to
+//! `results/search.json`.
 
 use criterion::{criterion_group, Criterion};
 use sdlo_bench::profile::evaluator_cost;
@@ -59,7 +60,7 @@ fn main() {
         cost.identical,
         "the tape and the tree walk disagree on some grid point"
     );
-    let speedup = cost.speedup();
+    let speedup = cost.speedup;
     let summary = format!(
         "{{\"program\":\"tiled_two_index\",\"n\":{N},\"cache\":{CACHE},\
          \"points\":{},\"compile_micros\":{:.1},\"tape_nanos\":{:.1},\

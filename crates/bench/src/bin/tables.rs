@@ -754,12 +754,7 @@ fn run_profile(args: &[String]) -> ! {
             println!(
                 "search evaluator: tape {:.0} ns, tree walk {:.0} ns per grid point \
                  over {} points, {:.2}x, compile {:.0} µs, identical: {}",
-                e.tape_nanos,
-                e.tree_nanos,
-                e.points,
-                e.speedup(),
-                e.compile_micros,
-                e.identical
+                e.tape_nanos, e.tree_nanos, e.points, e.speedup, e.compile_micros, e.identical
             );
         }
         println!();
@@ -846,7 +841,7 @@ fn run_profile(args: &[String]) -> ! {
                                             ("compile_micros", Value::from(e.compile_micros)),
                                             ("tape_nanos", Value::from(e.tape_nanos)),
                                             ("tree_walk_nanos", Value::from(e.tree_nanos)),
-                                            ("speedup", Value::from(e.speedup())),
+                                            ("speedup", Value::from(e.speedup)),
                                             ("identical", Value::from(e.identical)),
                                         ])
                                     })

@@ -37,10 +37,10 @@ impl Default for ProfileOptions {
     }
 }
 
-/// Per-grid-point cost of the tile search's evaluator: the compiled
-/// [`Tape`] against the [`MissModel`] tree walk, each computing the miss
-/// count and the number of distances at or above the cache size at every
-/// point of a search grid.
+/// Per-grid-point cost of the tile search's evaluator: the model's
+/// compiled [`Tape`] against the [`MissModel`] tree walk, each computing
+/// the miss count and the number of distances at or above the cache size
+/// at every point of a search grid.
 #[derive(Debug, Clone)]
 pub struct EvaluatorCost {
     /// Grid points per pass.
@@ -51,19 +51,23 @@ pub struct EvaluatorCost {
     pub tape_nanos: f64,
     /// Median ns per grid point on the tree walk.
     pub tree_nanos: f64,
+    /// Median over pairs of back-to-back passes of tree-walk time over
+    /// tape time; > 1 means the tape is faster.
+    pub speedup: f64,
     /// Whether both gave the same results at every point (they must).
     pub identical: bool,
 }
 
-impl EvaluatorCost {
-    /// Tree-walk time over tape time; > 1 means the tape is faster.
-    pub fn speedup(&self) -> f64 {
-        self.tree_nanos / self.tape_nanos.max(f64::MIN_POSITIVE)
-    }
+/// The median of `xs`, which must not be empty.
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
 }
 
 /// Measure [`EvaluatorCost`] over the grid of `space`, with `base` binding
-/// every other symbol: the median of `passes` timed passes per evaluator.
+/// every other symbol: `passes` pairs of one timed tape pass and one timed
+/// tree-walk pass, back to back, so host load moves both sides of a pair
+/// alike.
 pub fn evaluator_cost(
     model: &MissModel,
     base: &Bindings,
@@ -74,12 +78,29 @@ pub fn evaluator_cost(
     let grid = space.points();
     let syms: Vec<Sym> = space.tile_syms.iter().map(Sym::new).collect();
     let started = Instant::now();
-    let tape = Tape::compile(model, &syms, base);
+    let tape = Tape::compile(model);
     let compile_micros = started.elapsed().as_secs_f64() * 1e6;
 
+    // Bind the bounds once; each point writes its tiles into their slots,
+    // as the search does.
+    let mut at = base.clone();
+    for s in &syms {
+        at.set(s.clone(), 0);
+    }
+    let mut inputs = tape
+        .bind(&at)
+        .expect("`base` binds every symbol but the tiles");
+    let slots: Vec<Option<usize>> = syms
+        .iter()
+        .map(|s| tape.inputs().binary_search(s).ok())
+        .collect();
     let mut eval = tape.evaluator();
     let mut on_tape = |tiles: &[u64]| {
-        let inputs: Vec<i128> = tiles.iter().map(|t| i128::from(*t)).collect();
+        for (slot, t) in slots.iter().zip(tiles) {
+            if let Some(i) = slot {
+                inputs[*i] = i128::from(*t);
+            }
+        }
         (
             eval.misses(&inputs, cache),
             eval.distances_above(&inputs, cache),
@@ -100,29 +121,34 @@ pub fn evaluator_cost(
     let identical = grid.iter().all(|t| on_tape(t) == on_tree(t));
 
     let per_point = |f: &mut dyn FnMut(&[u64])| {
-        let mut secs: Vec<f64> = (0..passes.max(1))
-            .map(|_| {
-                let t = Instant::now();
-                for tiles in &grid {
-                    f(tiles);
-                }
-                t.elapsed().as_secs_f64()
-            })
-            .collect();
-        secs.sort_by(f64::total_cmp);
-        secs[secs.len() / 2] / grid.len() as f64 * 1e9
+        let t = Instant::now();
+        for tiles in &grid {
+            f(tiles);
+        }
+        t.elapsed().as_secs_f64() / grid.len() as f64 * 1e9
     };
-    let tape_nanos = per_point(&mut |t| {
-        let _ = black_box(on_tape(black_box(t)));
-    });
-    let tree_nanos = per_point(&mut |t| {
-        let _ = black_box(on_tree(black_box(t)));
-    });
+    let pairs: Vec<(f64, f64)> = (0..passes.max(1))
+        .map(|_| {
+            let tape = per_point(&mut |t| {
+                let _ = black_box(on_tape(black_box(t)));
+            });
+            let tree = per_point(&mut |t| {
+                let _ = black_box(on_tree(black_box(t)));
+            });
+            (tape, tree)
+        })
+        .collect();
     EvaluatorCost {
         points: grid.len(),
         compile_micros,
-        tape_nanos,
-        tree_nanos,
+        tape_nanos: median(pairs.iter().map(|p| p.0).collect()),
+        tree_nanos: median(pairs.iter().map(|p| p.1).collect()),
+        speedup: median(
+            pairs
+                .iter()
+                .map(|(tape, tree)| tree / tape.max(f64::MIN_POSITIVE))
+                .collect(),
+        ),
         identical,
     }
 }

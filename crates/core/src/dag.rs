@@ -3,9 +3,12 @@
 //!
 //! ## State
 //!
-//! - **The tape**: [`ModelDag::new`] compiles the model once to a [`Tape`]
-//!   with every symbol the components read as an input and no binding
-//!   folded in, so a rebinding is only a new input value.
+//! - **The tape**: the model's [`Tape`], a function of the model alone
+//!   with every symbol the components read as an input, so a rebinding is
+//!   only a new input value. [`ModelDag::on_tape`] shares a tape compiled
+//!   elsewhere (the service's cache entry compiles one per model, for its
+//!   tile searches and its `revise` session alike); [`ModelDag::new`]
+//!   compiles its own.
 //! - **Inputs**: the current value of each tape input. A binding for a
 //!   symbol no component reads is not kept, so a session's state does not
 //!   grow with the symbols its deltas name.
@@ -31,7 +34,8 @@
 
 use crate::model::{MissModel, ModelError};
 use crate::tape::Tape;
-use sdlo_symbolic::{Bindings, Sym};
+use sdlo_symbolic::Bindings;
+use std::sync::Arc;
 
 /// A structured change to a live [`ModelDag`]: sparse symbol rebindings
 /// (tile sizes, loop bounds) and/or a replacement cache-size set.
@@ -80,7 +84,7 @@ pub struct ReviseOutcome {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ModelDag {
-    tape: Tape,
+    tape: Arc<Tape>,
     /// The current value of each of the tape's inputs.
     inputs: Vec<i128>,
     /// Tracked cache sizes, ascending and deduped.
@@ -98,28 +102,32 @@ fn sorted(sizes: &[u64]) -> Vec<u64> {
 
 impl ModelDag {
     /// Build the DAG from a built model, an initial full binding set, and
-    /// the cache sizes to track: compile the tape and run it once. Fails
-    /// with the error [`MissModel::predict_misses`] gives at `bindings` and
-    /// the smallest failing size.
+    /// the cache sizes to track: compile the model's tape, then
+    /// [`ModelDag::on_tape`].
     pub fn new(
         model: &MissModel,
         bindings: Bindings,
         cache_sizes: &[u64],
     ) -> Result<Self, ModelError> {
+        Self::on_tape(Arc::new(Tape::compile(model)), &bindings, cache_sizes)
+    }
+
+    /// Build the DAG on a model's shared `tape`: bind every input from
+    /// `bindings` and run the tape once. Fails with
+    /// [`EvalError::Unbound`](sdlo_symbolic::EvalError::Unbound) for the
+    /// first input `bindings` leaves unbound, before any op runs, and
+    /// otherwise with the error [`MissModel::predict_misses`] gives at
+    /// `bindings` and the smallest failing size.
+    pub fn on_tape(
+        tape: Arc<Tape>,
+        bindings: &Bindings,
+        cache_sizes: &[u64],
+    ) -> Result<Self, ModelError> {
         let span = sdlo_trace::span(sdlo_trace::names::REVISE_DAG_BUILD);
-        // A symbol bound nowhere compiles to an op that fails where the
-        // tree walk does, so a DAG that exists has every symbol it reads
-        // as an input.
-        let (syms, inputs): (Vec<Sym>, Vec<i128>) = model
-            .symbols()
-            .into_iter()
-            .filter_map(|s| bindings.get(&s).map(|v| (s, v)))
-            .unzip();
-        let tape = Tape::compile(model, &syms, &Bindings::new());
+        let inputs = tape.bind(bindings)?;
         let cache_sizes = sorted(cache_sizes);
         let totals = tape.misses_at(&inputs, &cache_sizes)?;
         span.add("ops", tape.op_count() as u64);
-        span.add("components", model.components().len() as u64);
         span.add("cache_sizes", cache_sizes.len() as u64);
         Ok(ModelDag {
             tape,

@@ -3,14 +3,17 @@
 //! The tree walk ([`MissModel::predict_misses`],
 //! [`MissModel::distance_values`]) looks every symbol up in a string-keyed
 //! [`Bindings`] map and re-evaluates a sub-expression each time it appears.
-//! [`Tape::compile`] does that work once, for a fixed list of *input*
-//! symbols:
+//! [`Tape::compile`] does that work once per model, so a tape is a function
+//! of its model alone:
 //!
-//! - each input symbol becomes a numbered slot; every other symbol takes its
-//!   value from the fixed bindings, and a symbol bound nowhere becomes an op
-//!   that fails with [`EvalError::Unbound`] when it is reached;
+//! - every symbol the model reads ([`MissModel::symbols`]) becomes an input,
+//!   a numbered slot in sorted symbol order; [`Tape::bind`] reads a
+//!   point's input values out of a [`Bindings`] and fails with
+//!   [`EvalError::Unbound`] for the first input it leaves unbound, before
+//!   any op runs;
 //! - each distinct sub-expression becomes one op over earlier results, and
-//!   an op whose operands are all constants is folded at compile time;
+//!   an op whose operands are all literal constants is folded at compile
+//!   time;
 //! - evaluation is one forward pass that stores each op's result, in op
 //!   order, in one vector of values.
 //!
@@ -24,14 +27,14 @@
 //!
 //! A run is in checked `i64` first: additions and products that overflow,
 //! divisions by zero or of `i64::MIN` by -1, and a negative count all fail
-//! it, as do an unbound symbol and an input or constant outside `i64`. A
-//! checked `i64` op that succeeds is exact, so a run that does not fail
-//! equals the tree walk's `i128` arithmetic value for value. Any failure
-//! reruns the program in `i128`, the tree walk's own word, which gives the
-//! value (an intermediate beyond `i64` that a later division brings back
-//! into range) or the tree walk's first error. No run of the service's
-//! benchmark workloads falls back, and a run in `i64` costs about a quarter
-//! of one in `i128`.
+//! it, as does an input or constant outside `i64`. A checked `i64` op that
+//! succeeds is exact, so a run that does not fail equals the tree walk's
+//! `i128` arithmetic value for value. Any failure reruns the program in
+//! `i128`, the tree walk's own word, which gives the value (an
+//! intermediate beyond `i64` that a later division brings back into range)
+//! or the tree walk's first error. No run of the service's benchmark
+//! workloads falls back, and a run in `i64` costs about a quarter of one in
+//! `i128`.
 //!
 //! A tape holds two programs. The *misses* program follows
 //! [`MissModel::predict_misses`]: per component, the count, then the
@@ -42,18 +45,22 @@
 //! overflow, as in the tree walk. The *distances* program follows
 //! [`MissModel::distance_values`] and never evaluates a count.
 //!
+//! The service compiles one tape per cached model and shares it, behind an
+//! `Arc`, between the model's tile searches and its `revise` session.
+//!
 //! ```
 //! use sdlo_core::{MissModel, Tape};
 //! use sdlo_ir::{programs, Bindings};
-//! use sdlo_symbolic::Sym;
 //!
 //! let model = MissModel::build(&programs::tiled_matmul());
-//! let n = Bindings::new().with("Ni", 512).with("Nj", 512).with("Nk", 512);
-//! let tiles = [Sym::new("Ti"), Sym::new("Tj"), Sym::new("Tk")];
-//! let tape = Tape::compile(&model, &tiles, &n);
+//! let tape = Tape::compile(&model);
+//! let b = Bindings::new()
+//!     .with("Ni", 512).with("Nj", 512).with("Nk", 512)
+//!     .with("Ti", 64).with("Tj", 64).with("Tk", 64);
+//! let inputs = tape.bind(&b).unwrap();
 //! let mut eval = tape.evaluator();
 //! // 64 KiB of f64 elements, the paper's Table 3 configuration:
-//! assert_eq!(eval.misses(&[64, 64, 64], 8192).unwrap(), 6_291_456);
+//! assert_eq!(eval.misses(&inputs, 8192).unwrap(), 6_291_456);
 //! ```
 
 use crate::model::{predict_from_values, DistanceValues, MissModel, ModelError};
@@ -65,8 +72,6 @@ use std::collections::HashMap;
 /// value indices once compiled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Op<V> {
-    /// Fails with [`EvalError::Unbound`] for the program's `unbound[i]`.
-    Unbound(u32),
     Add(V, V),
     Mul(V, V),
     CeilDiv(V, V),
@@ -82,7 +87,6 @@ enum Op<V> {
 impl<V: Copy> Op<V> {
     fn map<W>(self, mut f: impl FnMut(V) -> W) -> Op<W> {
         match self {
-            Op::Unbound(i) => Op::Unbound(i),
             Op::Add(a, b) => Op::Add(f(a), f(b)),
             Op::Mul(a, b) => Op::Mul(f(a), f(b)),
             Op::CeilDiv(a, b) => Op::CeilDiv(f(a), f(b)),
@@ -174,7 +178,6 @@ impl Word for i128 {
 #[inline(always)]
 fn exec<W: Word, V: Copy>(op: Op<V>, x: impl Fn(V) -> W) -> Option<W> {
     match op {
-        Op::Unbound(_) => None,
         Op::Add(a, b) => x(a).add(x(b)),
         Op::Mul(a, b) => x(a).mul(x(b)),
         Op::CeilDiv(n, d) => x(n).ceil_div(x(d)),
@@ -188,9 +191,8 @@ fn exec<W: Word, V: Copy>(op: Op<V>, x: impl Fn(V) -> W) -> Option<W> {
 
 /// The error of an op [`exec`] failed on in `i128`.
 #[cold]
-fn fault(op: Op<i128>, unbound: &[Sym]) -> ModelError {
+fn fault(op: Op<i128>) -> ModelError {
     match op {
-        Op::Unbound(i) => ModelError::Eval(EvalError::Unbound(unbound[i as usize].clone())),
         Op::CeilDiv(_, 0) | Op::FloorDiv(_, 0) => ModelError::Eval(EvalError::DivisionByZero),
         Op::NonNegative(a) => ModelError::NegativeCount(a as i64),
         _ => overflow(),
@@ -215,7 +217,6 @@ struct Program {
     /// run is in `i128`.
     narrow_consts: Option<Vec<i64>>,
     ops: Vec<Op<u32>>,
-    unbound: Vec<Sym>,
 }
 
 /// Value buffers for runs in either word, reused across runs.
@@ -267,7 +268,7 @@ impl Program {
             .err()
             .map(|k| {
                 let op = self.ops[k].map(|i| values[i as usize]);
-                (k, fault(op, &self.unbound))
+                (k, fault(op))
             });
         (Values::Wide(values), fault)
     }
@@ -299,25 +300,22 @@ type Combine = fn(Ref, Ref) -> Op<Ref>;
 
 /// Builds one [`Program`], hash-consing and folding as it goes.
 struct Builder<'a> {
+    /// Every symbol the model reads, sorted.
     inputs: &'a [Sym],
-    fixed: &'a Bindings,
     consts: Vec<i128>,
     const_ids: HashMap<i128, u32>,
     ops: Vec<Op<Ref>>,
     op_ids: HashMap<Op<Ref>, Ref>,
-    unbound: Vec<Sym>,
 }
 
 impl<'a> Builder<'a> {
-    fn new(inputs: &'a [Sym], fixed: &'a Bindings) -> Self {
+    fn new(inputs: &'a [Sym]) -> Self {
         Builder {
             inputs,
-            fixed,
             consts: Vec::new(),
             const_ids: HashMap::new(),
             ops: Vec::new(),
             op_ids: HashMap::new(),
-            unbound: Vec::new(),
         }
     }
 
@@ -330,22 +328,12 @@ impl<'a> Builder<'a> {
         Ref::Const(id)
     }
 
-    fn var(&mut self, s: &Sym) -> Ref {
-        // A symbol listed twice reads its last slot, as rebinding it would.
-        if let Some(slot) = self.inputs.iter().rposition(|x| x == s) {
-            return Ref::Input(slot as u32);
-        }
-        if let Some(v) = self.fixed.get(s) {
-            return self.constant(v);
-        }
-        let i = match self.unbound.iter().position(|x| x == s) {
-            Some(i) => i,
-            None => {
-                self.unbound.push(s.clone());
-                self.unbound.len() - 1
-            }
-        };
-        self.op(Op::Unbound(i as u32))
+    fn var(&self, s: &Sym) -> Ref {
+        let slot = self
+            .inputs
+            .binary_search(s)
+            .expect("every symbol the model reads is an input");
+        Ref::Input(slot as u32)
     }
 
     /// Emit `op`, or reuse an identical earlier op, or fold it to a
@@ -446,7 +434,6 @@ impl<'a> Builder<'a> {
             ops: self.ops.iter().map(|op| op.map(index)).collect(),
             narrow_consts: self.consts.iter().map(|c| i64::try_from(*c).ok()).collect(),
             consts: self.consts,
-            unbound: self.unbound,
         };
         (program, index)
     }
@@ -481,10 +468,11 @@ struct Root {
     ops_end: u32,
 }
 
-/// A [`MissModel`] compiled for one list of input symbols; see the
-/// [module docs](self).
+/// A [`MissModel`] compiled with every symbol it reads as an input; see
+/// the [module docs](self).
 #[derive(Debug, Clone)]
 pub struct Tape {
+    /// Every symbol the model reads, sorted.
     inputs: Vec<Sym>,
     misses: Program,
     /// Per component, in model order.
@@ -495,12 +483,12 @@ pub struct Tape {
 }
 
 impl Tape {
-    /// Compile `model` with `inputs` as slots and every other symbol taken
-    /// from `fixed`. An input symbol shadows a binding of the same name in
-    /// `fixed`.
-    pub fn compile(model: &MissModel, inputs: &[Sym], fixed: &Bindings) -> Tape {
+    /// Compile `model` with every symbol it reads as an input, in sorted
+    /// order.
+    pub fn compile(model: &MissModel) -> Tape {
         let span = sdlo_trace::span("tape.compile");
-        let mut b = Builder::new(inputs, fixed);
+        let inputs: Vec<Sym> = model.symbols().into_iter().collect();
+        let mut b = Builder::new(&inputs);
         let mut components = Vec::with_capacity(model.components().len());
         for c in model.components() {
             let count = b.root(&c.count);
@@ -525,7 +513,7 @@ impl Tape {
             })
             .collect();
 
-        let mut b = Builder::new(inputs, fixed);
+        let mut b = Builder::new(&inputs);
         let mut roots = Vec::new();
         for c in model.components() {
             match &c.distance {
@@ -543,7 +531,7 @@ impl Tape {
         span.add("distance_ops", distances.ops.len() as u64);
 
         Tape {
-            inputs: inputs.to_vec(),
+            inputs,
             misses,
             components,
             distances,
@@ -560,9 +548,23 @@ impl Tape {
         }
     }
 
-    /// The input symbols, in the order given to [`Tape::compile`].
+    /// The input symbols: every symbol the model reads, sorted.
     pub fn inputs(&self) -> &[Sym] {
         &self.inputs
+    }
+
+    /// Each input's value in `bindings`, in input order. Fails with
+    /// [`EvalError::Unbound`] for the first input `bindings` leaves
+    /// unbound; a binding for a symbol the model never reads is ignored.
+    pub fn bind(&self, bindings: &Bindings) -> Result<Vec<i128>, ModelError> {
+        self.inputs
+            .iter()
+            .map(|s| {
+                bindings
+                    .get(s)
+                    .ok_or_else(|| ModelError::Eval(EvalError::Unbound(s.clone())))
+            })
+            .collect()
     }
 
     /// Ops in the misses program: what one run of it executes.
@@ -640,8 +642,8 @@ pub struct TapeEval<'t> {
 impl TapeEval<'_> {
     /// Total predicted misses for a fully associative LRU cache of
     /// `cache_size` elements — [`MissModel::predict_misses`] at the point
-    /// whose input values are `inputs`, in the order of the input symbols
-    /// given to [`Tape::compile`].
+    /// whose input values are `inputs`, in [`Tape::inputs`] order (see
+    /// [`Tape::bind`]).
     ///
     /// # Panics
     ///
@@ -696,13 +698,7 @@ mod tests {
     #[test]
     fn shared_subexpressions_become_one_op() {
         let model = MissModel::build(&programs::tiled_two_index());
-        let inputs = syms(&["Ti", "Tj", "Tm", "Tn"]);
-        let n = Bindings::new()
-            .with("Ni", 64)
-            .with("Nj", 64)
-            .with("Nm", 64)
-            .with("Nn", 64);
-        let tape = Tape::compile(&model, &inputs, &n);
+        let tape = Tape::compile(&model);
         let (misses, distances) = (tape.misses.ops.len(), tape.distances.ops.len());
         assert!(distances < misses, "{distances} vs {misses}");
         let mut seen = std::collections::HashSet::new();
@@ -712,29 +708,10 @@ mod tests {
     }
 
     #[test]
-    fn constant_operands_fold() {
-        // With every symbol fixed, every op folds away except the ones
-        // that fail: here none do.
-        let model = MissModel::build(&programs::tiled_matmul());
-        let b = Bindings::new()
-            .with("Ni", 64)
-            .with("Nj", 64)
-            .with("Nk", 64)
-            .with("Ti", 16)
-            .with("Tj", 8)
-            .with("Tk", 32);
-        let tape = Tape::compile(&model, &[], &b);
-        assert!(tape.misses.ops.is_empty() && tape.distances.ops.is_empty());
-        assert_eq!(
-            tape.evaluator().misses(&[], 512),
-            model.predict_misses(&b, 512)
-        );
-    }
-
-    #[test]
     fn matches_the_tree_walk_including_errors() {
         let model = MissModel::build(&programs::tiled_matmul());
-        let inputs = syms(&["Ti", "Tj", "Tk"]);
+        let tape = Tape::compile(&model);
+        let mut eval = tape.evaluator();
         let cases: [(i128, [i128; 3]); 5] = [
             (256, [64, 32, 32]),
             (100, [7, 3, 64]),
@@ -743,23 +720,24 @@ mod tests {
             (64, [-4, 8, 8]),     // negative tile
         ];
         for (n, t) in cases {
-            let fixed = Bindings::new().with("Ni", n).with("Nj", n).with("Nk", n);
-            let tape = Tape::compile(&model, &inputs, &fixed);
-            let mut eval = tape.evaluator();
-            let mut b = fixed.clone();
-            for (s, v) in inputs.iter().zip(t) {
-                b.set(s.clone(), v);
-            }
+            let b = Bindings::new()
+                .with("Ni", n)
+                .with("Nj", n)
+                .with("Nk", n)
+                .with("Ti", t[0])
+                .with("Tj", t[1])
+                .with("Tk", t[2]);
+            let inputs = tape.bind(&b).unwrap();
             for cache in [64u64, 2048, 8192] {
                 assert_eq!(
-                    eval.misses(&t, cache),
+                    eval.misses(&inputs, cache),
                     model.predict_misses(&b, cache),
                     "N={n} tiles={t:?} C={cache}"
                 );
                 let above = model
                     .distance_values(&b)
                     .map(|ds| ds.into_iter().filter(|d| *d >= cache).count());
-                assert_eq!(eval.distances_above(&t, cache), above);
+                assert_eq!(eval.distances_above(&inputs, cache), above);
             }
         }
     }
@@ -790,91 +768,65 @@ mod tests {
             |x: Expr, y: &Expr| Expr::from_atom(Atom::CeilDiv(Box::new(x), Box::new(y.clone())));
         let floor =
             |x: Expr, y: &Expr| Expr::from_atom(Atom::FloorDiv(Box::new(x), Box::new(y.clone())));
+        // `max(1, 2^40)^2` folds to the literal 2^80, which is pooled.
+        let big = Expr::from_atom(Atom::Max(vec![Expr::from(1), Expr::from(1 << 40)])).pow(2);
         let none = Bindings::new;
         let min: i128 = i64::MIN.into();
         let cases = [
             (
                 "an intermediate beyond i64",
                 ceil(n.pow(3), &n.pow(2)),
-                &["N"][..],
-                none(),
-                vec![1 << 22],
+                none().with("N", 1 << 22),
                 Ok(1 << 22),
             ),
             (
                 "a product beyond i128",
                 n.pow(5),
-                &["N"],
-                none(),
-                vec![1 << 30],
+                none().with("N", 1 << 30),
                 Err(overflow()),
             ),
             (
                 "i64::MIN / -1, back in range",
                 floor(a.clone(), &b) - Expr::from(1),
-                &["A", "B"],
-                none(),
-                vec![min, -1],
+                none().with("A", min).with("B", -1),
                 Ok(i64::MAX as u64),
             ),
             (
                 "i64::MIN / -1",
                 ceil(a.clone(), &b),
-                &["A", "B"],
-                none(),
-                vec![min, -1],
+                none().with("A", min).with("B", -1),
                 Err(overflow()),
             ),
             (
                 "an input beyond i64",
                 floor(n.clone(), &m),
-                &["N", "M"],
-                none(),
-                vec![1 << 64, 1 << 32],
+                none().with("N", 1 << 64).with("M", 1 << 32),
                 Ok(1 << 32),
             ),
             (
                 "a pooled constant beyond i64",
-                floor(n.pow(2), &m),
-                &["M"],
-                none().with("N", 1 << 40),
-                vec![1 << 30],
+                floor(big.clone(), &m),
+                none().with("M", 1 << 30),
                 Ok(1 << 50),
             ),
             (
                 "a negative count",
                 a.clone() - b.clone(),
-                &["A", "B"],
-                none(),
-                vec![3, 8],
+                none().with("A", 3).with("B", 8),
                 Err(ModelError::NegativeCount(-5)),
             ),
             (
                 "a division by zero",
                 ceil(n.clone(), &m),
-                &["N", "M"],
-                none(),
-                vec![8, 0],
+                none().with("N", 8).with("M", 0),
                 Err(ModelError::Eval(EvalError::DivisionByZero)),
             ),
-            (
-                "an unbound symbol",
-                n.clone() + m.clone(),
-                &["N"],
-                none(),
-                vec![8],
-                Err(ModelError::Eval(EvalError::Unbound(Sym::new("M")))),
-            ),
         ];
-        for (what, e, inputs, fixed, values, want) in cases {
+        for (what, e, b, want) in cases {
             let model =
                 MissModel::from_components(vec![component(e.clone(), StackDistance::Constant(e))]);
-            let inputs = syms(inputs);
-            let tape = Tape::compile(&model, &inputs, &fixed);
-            let mut b = fixed.clone();
-            for (s, v) in inputs.iter().zip(&values) {
-                b.set(s.clone(), *v);
-            }
+            let tape = Tape::compile(&model);
+            let values = tape.bind(&b).unwrap();
             assert_eq!(model.predict_misses(&b, 1), want, "{what}: the tree walk");
             let sizes = [1, 1 << 20, u64::MAX];
             let mut eval = tape.evaluator();
@@ -897,17 +849,13 @@ mod tests {
                 sizes.iter().map(|&c| model.predict_misses(&b, c)).collect();
             assert_eq!(tape.misses_at(&values, &sizes), totals, "{what}: misses_at");
         }
-        let folded = Tape::compile(
-            &MissModel::from_components(vec![component(
-                floor(n.pow(2), &m),
-                StackDistance::Infinite,
-            )]),
-            &syms(&["M"]),
-            &Bindings::new().with("N", 1 << 40),
-        );
+        let pooled = Tape::compile(&MissModel::from_components(vec![component(
+            floor(big, &m),
+            StackDistance::Infinite,
+        )]));
         assert!(
-            folded.misses.narrow_consts.is_none(),
-            "N^2 = 2^80 is pooled"
+            pooled.misses.narrow_consts.is_none(),
+            "max(1, 2^40)^2 = 2^80 is pooled"
         );
     }
 
@@ -916,7 +864,6 @@ mod tests {
         let component = |count: Expr| component(count, StackDistance::Infinite);
         let failing = component(Expr::from(1).ceil_div(&Expr::var("Z")));
         let b = Bindings::new().with("N", i64::MAX.into()).with("Z", 0);
-        let values = [i64::MAX.into(), 0];
         // Two maximal counts still fit in a u64 total, three do not: the
         // tree walk fails on whichever it reaches first, at every size.
         for (big, want) in [
@@ -927,7 +874,8 @@ mod tests {
             components.push(failing.clone());
             let model = MissModel::from_components(components);
             assert_eq!(model.predict_misses(&b, 1), Err(want.clone()));
-            let tape = Tape::compile(&model, &syms(&["N", "Z"]), &Bindings::new());
+            let tape = Tape::compile(&model);
+            let values = tape.bind(&b).unwrap();
             assert_eq!(tape.evaluator().misses(&values, 1), Err(want.clone()));
             assert_eq!(tape.misses_at(&values, &[1, 1 << 40]), Err(want));
         }
@@ -937,7 +885,7 @@ mod tests {
     fn misses_at_prices_every_size_from_one_run() {
         let model = MissModel::build(&programs::tiled_matmul());
         let inputs = syms(&["Ni", "Nj", "Nk", "Ti", "Tj", "Tk"]);
-        let tape = Tape::compile(&model, &inputs, &Bindings::new());
+        let tape = Tape::compile(&model);
         let values = [256, 256, 256, 64, 32, 16];
         let b: Bindings = inputs.iter().cloned().zip(values).collect();
         let sizes = [64, 2048, 8192];
@@ -952,29 +900,39 @@ mod tests {
     }
 
     #[test]
-    fn a_repeated_input_reads_its_last_slot() {
+    fn bind_fails_for_the_first_unbound_input() {
+        // The inputs are every symbol the model reads, sorted. A binding
+        // for any other symbol is ignored; one left unbound fails with the
+        // tree walk's error before any op runs.
         let model = MissModel::build(&programs::tiled_matmul());
-        let fixed = Bindings::new().with("Ni", 64).with("Nj", 64).with("Nk", 64);
-        let tape = Tape::compile(&model, &syms(&["Ti", "Ti", "Tj", "Tk"]), &fixed);
-        let b = fixed.with("Ti", 16).with("Tj", 8).with("Tk", 8);
+        let tape = Tape::compile(&model);
         assert_eq!(
-            tape.evaluator().misses(&[4, 16, 8, 8], 512),
-            model.predict_misses(&b, 512)
+            tape.inputs(),
+            &syms(&["Ni", "Nj", "Nk", "Ti", "Tj", "Tk"])[..]
         );
-    }
-
-    #[test]
-    fn unbound_symbols_fail_where_the_tree_walk_does() {
-        let model = MissModel::build(&programs::tiled_matmul());
-        let tape = Tape::compile(&model, &syms(&["Ti", "Tj", "Tk"]), &Bindings::new());
-        let b = Bindings::new().with("Ti", 8).with("Tj", 8).with("Tk", 8);
+        let full = Bindings::new()
+            .with("Tk", 8)
+            .with("Ni", 64)
+            .with("Unused", 3)
+            .with("Nj", 32)
+            .with("Nk", 16)
+            .with("Ti", 4)
+            .with("Tj", 2);
+        assert_eq!(tape.bind(&full), Ok(vec![64, 32, 16, 4, 2, 8]));
+        for s in tape.inputs() {
+            let b: Bindings = full
+                .iter()
+                .filter(|(t, _)| *t != s)
+                .map(|(t, v)| (t.clone(), v))
+                .collect();
+            let unbound = ModelError::Eval(EvalError::Unbound(s.clone()));
+            assert_eq!(tape.bind(&b), Err(unbound.clone()));
+            assert_eq!(model.predict_misses(&b, 1024), Err(unbound));
+        }
+        let tiles = Bindings::new().with("Ti", 8).with("Tj", 8).with("Tk", 8);
         assert_eq!(
-            tape.evaluator().misses(&[8, 8, 8], 1024),
-            model.predict_misses(&b, 1024)
+            tape.bind(&tiles),
+            Err(ModelError::Eval(EvalError::Unbound(Sym::new("Ni"))))
         );
-        assert!(matches!(
-            tape.evaluator().misses(&[8, 8, 8], 1024),
-            Err(ModelError::Eval(EvalError::Unbound(_)))
-        ));
     }
 }

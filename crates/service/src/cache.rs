@@ -25,30 +25,32 @@ struct Entry<V> {
 
 struct Shard<V> {
     entries: Vec<Entry<V>>,
+    /// Most entries this shard holds.
+    capacity: usize,
 }
 
 /// Sharded LRU keyed by canonical program shape.
 pub struct ShardedCache<V> {
     shards: Vec<Mutex<Shard<V>>>,
-    per_shard_capacity: usize,
     tick: AtomicU64,
 }
 
 impl<V> ShardedCache<V> {
-    /// `shards` is rounded up to one; `capacity` is the *total* entry budget,
-    /// split evenly (each shard holds at least one entry).
+    /// `capacity` is the *total* entry budget, at least one. It is split
+    /// over at most `shards` shards, each holding at least one entry, and
+    /// the shards' limits sum to it.
     pub fn new(shards: usize, capacity: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard_capacity = capacity.div_ceil(shards).max(1);
+        let capacity = capacity.max(1);
+        let shards = shards.clamp(1, capacity);
         ShardedCache {
             shards: (0..shards)
-                .map(|_| {
+                .map(|k| {
                     Mutex::new(Shard {
                         entries: Vec::new(),
+                        capacity: capacity / shards + usize::from(k < capacity % shards),
                     })
                 })
                 .collect(),
-            per_shard_capacity,
             tick: AtomicU64::new(0),
         }
     }
@@ -85,7 +87,7 @@ impl<V> ShardedCache<V> {
             e.last_used = now;
             return (Arc::clone(&e.value), true);
         }
-        if shard.entries.len() >= self.per_shard_capacity {
+        if shard.entries.len() >= shard.capacity {
             let lru = shard
                 .entries
                 .iter()

@@ -69,11 +69,13 @@ use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+/// Most shards of the model cache; a cache of fewer shapes has one shard
+/// per shape.
+const CACHE_SHARDS: usize = 8;
+
 /// Engine limits and cache sizing.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Shards of the model cache.
-    pub cache_shards: usize,
     /// Total cached shapes.
     pub cache_capacity: usize,
     /// Soft wall-clock budget for one request; `batch` stops dispatching
@@ -95,7 +97,6 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
-            cache_shards: 8,
             cache_capacity: 256,
             max_request_millis: 30_000,
             enable_test_ops: false,
@@ -106,13 +107,13 @@ impl Default for EngineConfig {
 }
 
 /// A cached analysis: the canonicalization (for name translation), the
-/// built model, the tape `advise` searches once one has, and the shape's
-/// `revise` session once a `revise` has established one. Both live
-/// exactly as long as the entry.
+/// built model, its tape once an `advise` or a `revise` has compiled it,
+/// and the shape's `revise` session once a `revise` has established one.
+/// Both live exactly as long as the entry.
 pub struct CachedModel {
     pub canonical: Arc<Canonical>,
     pub model: MissModel,
-    search_tape: OnceLock<Tape>,
+    tape: OnceLock<Arc<Tape>>,
     pub(crate) session: Mutex<Option<Session>>,
 }
 
@@ -121,19 +122,19 @@ impl CachedModel {
         CachedModel {
             canonical,
             model,
-            search_tape: OnceLock::new(),
+            tape: OnceLock::new(),
             session: Mutex::new(None),
         }
     }
 
-    /// The model compiled with every symbol its components read as an
-    /// input, in sorted order, and nothing folded: compiled on the shape's
-    /// first `advise`, then borrowed by every search on it.
-    pub(crate) fn search_tape(&self) -> &Tape {
-        self.search_tape.get_or_init(|| {
-            let inputs: Vec<Sym> = self.model.symbols().into_iter().collect();
-            Tape::compile(&self.model, &inputs, &Bindings::new())
-        })
+    /// The model's one tape: compiled on the shape's first `advise` or
+    /// `revise`, then shared by every bound search on it and its `revise`
+    /// session.
+    pub(crate) fn tape(&self) -> Arc<Tape> {
+        let tape = self
+            .tape
+            .get_or_init(|| Arc::new(Tape::compile(&self.model)));
+        Arc::clone(tape)
     }
 }
 
@@ -174,7 +175,7 @@ impl Drop for InFlight<'_> {
 
 impl Engine {
     pub fn new(config: EngineConfig) -> Self {
-        let cache = ShardedCache::new(config.cache_shards, config.cache_capacity);
+        let cache = ShardedCache::new(CACHE_SHARDS, config.cache_capacity);
         let disk = config.cache_dir.clone().map(DiskCache::new);
         let flight = Arc::new(FlightRecorder::new(
             flight::CAPACITY,
@@ -850,9 +851,33 @@ mod tests {
     }
 
     #[test]
+    fn the_model_cache_holds_no_more_shapes_than_its_capacity() {
+        let e = Engine::new(EngineConfig {
+            cache_capacity: 2,
+            ..EngineConfig::default()
+        });
+        for name in sdlo_ir::programs::BUILTIN_NAMES {
+            let bindings: Vec<String> = builtin(name)
+                .unwrap()
+                .free_symbols()
+                .iter()
+                .map(|s| format!(r#""{}":16"#, s.name()))
+                .collect();
+            let line = format!(
+                r#"{{"op":"predict","program":"{name}","bindings":{{{}}},"cache":512}}"#,
+                bindings.join(",")
+            );
+            let reply = parse(&e.handle_line(&line));
+            assert_eq!(reply.get("ok").unwrap().as_bool(), Some(true), "{reply:?}");
+        }
+        let stats = parse(&e.handle_line(r#"{"op":"stats"}"#));
+        let shapes = stats.path(&["stats", "cached_shapes"]).unwrap().as_u64();
+        assert!(shapes.is_some_and(|n| n <= 2), "{shapes:?} cached shapes");
+    }
+
+    #[test]
     fn evicting_a_model_drops_its_revise_session() {
         let e = Engine::new(EngineConfig {
-            cache_shards: 1,
             cache_capacity: 1,
             ..EngineConfig::default()
         });

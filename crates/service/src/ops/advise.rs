@@ -216,13 +216,11 @@ impl ServiceOp for AdviseOp {
             }
             AdviseTarget::Bound { bindings, mode } => {
                 engine.require_bound(program, &bindings, &space.tile_syms)?;
-                let tape = cached.search_tape();
-                TileSearcher::on_tape(tape, &bindings, request.cache, space.clone()).and_then(
-                    |searcher| match mode {
+                TileSearcher::on_tape(cached.tape(), &bindings, request.cache, space.clone())
+                    .and_then(|searcher| match mode {
                         SearchMode::Pruned => searcher.pruned_with(&budget),
                         SearchMode::Exhaustive => searcher.exhaustive_with(&budget),
-                    },
-                )
+                    })
             }
         }
         .map_err(|e| api::fail(ErrorKind::Eval, e.to_string()))?;
@@ -299,25 +297,55 @@ mod tests {
         // The first `advise` on a shape compiles the cache entry's tape;
         // bound searches after it, in either mode and at any bounds,
         // compile none. A bounds-free search filters the model, so it
-        // compiles its own.
+        // compiles its own. The shape's `revise` session runs the same
+        // tape, whichever op comes first.
         let engine = Engine::new(EngineConfig::default());
         let advise = |fields: &str| {
             format!(
                 r#"{{"op":"advise","program":"tiled_matmul","cache":4096,"space":{{"syms":["Ti","Tj","Tk"],"max":[64,64,64],"min":4}},{fields}}}"#
             )
         };
-        let compiles = |line: &str| {
-            let spans = spans_of(&engine, line);
-            spans.iter().filter(|n| *n == "tape.compile").count()
+        // Each span name `line` records, counted.
+        let spans = |engine: &Engine, line: &str| {
+            let mut counts = std::collections::BTreeMap::new();
+            for name in spans_of(engine, line) {
+                *counts.entry(name).or_insert(0) += 1;
+            }
+            counts
+        };
+        let compiles = |engine: &Engine, line: &str| {
+            let counts = spans(engine, line);
+            counts.get("tape.compile").copied().unwrap_or(0)
         };
         let bound = advise(r#""bindings":{"Ni":128,"Nj":128,"Nk":128}"#);
-        assert_eq!(compiles(&bound), 1);
-        assert_eq!(compiles(&bound), 0);
+        assert_eq!(compiles(&engine, &bound), 1);
+        assert_eq!(compiles(&engine, &bound), 0);
         let exhaustive = advise(r#""bindings":{"Ni":512,"Nj":512,"Nk":512},"mode":"exhaustive""#);
-        assert_eq!(compiles(&exhaustive), 0);
+        assert_eq!(compiles(&engine, &exhaustive), 0);
         assert_eq!(
-            compiles(&advise(r#""bounds_free":{"bounds":["Ni","Nj","Nk"]}"#)),
+            compiles(
+                &engine,
+                &advise(r#""bounds_free":{"bounds":["Ni","Nj","Nk"]}"#)
+            ),
             1
         );
+
+        // A cold `revise` on the advised shape builds its session on the
+        // entry's tape.
+        let base = sdlo_ir::canonicalize(&sdlo_ir::programs::tiled_matmul()).hash;
+        let revise = format!(
+            r#"{{"op":"revise","base":"{base:016x}","program":"tiled_matmul","delta":{{"bindings":{{"Ni":64,"Nj":64,"Nk":64,"Ti":8,"Tj":8,"Tk":8}},"cache_sizes":[512]}}}}"#
+        );
+        let cold = spans(&engine, &revise);
+        assert_eq!(cold.get(sdlo_trace::names::REVISE_FULL_BUILD), Some(&1));
+        assert_eq!(cold.get("tape.compile"), None);
+
+        // On a fresh engine, the `revise` compiles the tape and an
+        // `advise` after it compiles none.
+        let fresh = Engine::new(EngineConfig::default());
+        let cold = spans(&fresh, &revise);
+        assert_eq!(cold.get(sdlo_trace::names::REVISE_FULL_BUILD), Some(&1));
+        assert_eq!(cold.get("tape.compile"), Some(&1));
+        assert_eq!(compiles(&fresh, &bound), 0);
     }
 }

@@ -5,7 +5,9 @@
 //! [`sdlo_core::ModelDag`] session in the shape's model-cache entry, named
 //! by the canonical shape hash (`base`), and applies a structured delta —
 //! new symbol bindings and/or a new tracked cache-size set — by running the
-//! session's compiled tape once, or not at all when nothing changed.
+//! model's tape once, or not at all when nothing changed. The session runs
+//! the cache entry's one tape, the one its `advise` searches share, so a
+//! shape that is both advised and revised compiles it once.
 //!
 //! ## Session lifecycle
 //!
@@ -207,7 +209,7 @@ impl ServiceOp for ReviseOp {
         engine.require_bound(&cached.canonical.program, &request.delta.bindings, &[])?;
         let dag = {
             let _span = sdlo_trace::span(sdlo_trace::names::REVISE_FULL_BUILD);
-            ModelDag::new(&cached.model, request.delta.bindings.clone(), &sizes).map_err(eval)?
+            ModelDag::on_tape(cached.tape(), &request.delta.bindings, &sizes).map_err(eval)?
         };
         metrics.revise_full_builds.fetch_add(1, Relaxed);
         let misses = dag.misses();

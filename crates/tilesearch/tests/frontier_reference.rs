@@ -14,6 +14,7 @@ use sdlo_ir::{programs, Bindings};
 use sdlo_symbolic::Sym;
 use sdlo_tilesearch::{Evaluation, SearchBudget, SearchOutcome, SearchSpace, TileSearcher};
 use std::cmp::Reverse;
+use std::sync::Arc;
 
 const MATMUL: (&str, &[&str], &[&str]) = ("tiled_matmul", &["Ni", "Nj", "Nk"], &["Ti", "Tj", "Tk"]);
 const TWO_INDEX: (&str, &[&str], &[&str]) = (
@@ -165,14 +166,13 @@ fn pruning_is_optimal_on_the_advise_workload_and_table4() {
 
 /// The model `bounds_free` searches: bound-dependent distances become
 /// infinite, bounds bound to `nominal`.
-fn bounds_free_searcher<'m>(
-    filtered: &'m mut Option<MissModel>,
+fn bounds_free_searcher(
     model: &MissModel,
     bound_syms: &[&str],
     nominal: i128,
     cache: u64,
     space: SearchSpace,
-) -> TileSearcher<'m> {
+) -> TileSearcher {
     let mentions_bound =
         |e: &sdlo_symbolic::Expr| bound_syms.iter().any(|b| e.involves(&Sym::new(*b)));
     let components = model
@@ -191,9 +191,9 @@ fn bounds_free_searcher<'m>(
             c
         })
         .collect();
-    let model = filtered.insert(MissModel::from_components(components));
+    let model = MissModel::from_components(components);
     let base = bound_syms.iter().map(|b| (*b, nominal)).collect();
-    TileSearcher::new(model, base, cache, space)
+    TileSearcher::new(&model, base, cache, space)
 }
 
 fn same_search(a: &SearchOutcome, b: &SearchOutcome, what: &str) {
@@ -210,15 +210,7 @@ fn bounds_free_and_table4_match_the_reference() {
                 let sp = space(tile_syms, max, (4, max));
                 let free =
                     TileSearcher::bounds_free(&model, bound_syms, 1 << 14, cache, sp.clone());
-                let mut filtered = None;
-                let s = bounds_free_searcher(
-                    &mut filtered,
-                    &model,
-                    bound_syms,
-                    1 << 14,
-                    cache,
-                    sp.clone(),
-                );
+                let s = bounds_free_searcher(&model, bound_syms, 1 << 14, cache, sp.clone());
                 let what = format!("{name} bounds-free C={cache} max={max}");
                 same_search(&free, &s.pruned(), &what);
                 check(&s, &sp, &what);
@@ -253,15 +245,15 @@ fn a_borrowed_all_inputs_tape_searches_like_its_own() {
     let limited = SearchBudget::max_evals(150);
     for (name, bound_syms, tile_syms) in [MATMUL, TWO_INDEX] {
         let model = MissModel::build(&programs::builtin(name).unwrap());
-        let inputs: Vec<Sym> = model.symbols().into_iter().collect();
-        let tape = Tape::compile(&model, &inputs, &Bindings::new());
+        let tape = Arc::new(Tape::compile(&model));
         for n in [32u64, 100, 128, 256, 512, 1024] {
             for cache in [256u64, 2048, 8192, 32768] {
                 for range in [(4u64, 256u64), (1, 64), (2, 512)] {
                     let sp = space(tile_syms, n, range);
                     let base = bounds(bound_syms, n);
                     let own = TileSearcher::new(&model, base.clone(), cache, sp.clone());
-                    let borrowed = TileSearcher::on_tape(&tape, &base, cache, sp).unwrap();
+                    let borrowed =
+                        TileSearcher::on_tape(Arc::clone(&tape), &base, cache, sp).unwrap();
                     let what = format!("{name} N={n} C={cache} (min, max)={range:?}");
                     for (a, b) in [
                         (own.pruned(), borrowed.pruned()),

@@ -45,8 +45,8 @@ pub mod log;
 /// names (`model.build`, `tilesearch.*`, `cachesim.replay`, …) stay string
 /// literals at their emission site.
 pub mod names {
-    /// Revise-session family: compiling a session's tape from a built
-    /// model (`sdlo-core`).
+    /// Revise-session family: binding a session's inputs on its model's
+    /// tape and running it once (`sdlo-core`).
     pub const REVISE_DAG_BUILD: &str = "revise.dag_build";
     /// Applying one structured delta to a live session (`sdlo-core`).
     pub const REVISE_APPLY_DELTA: &str = "revise.apply_delta";
